@@ -16,9 +16,9 @@ True
 
 Execution options travel as one frozen value instead of a trail of
 boolean arguments, so adding an axis (as the ``backend`` axis was) never
-widens these signatures again.  The pre-redesign entry points —
-:func:`repro.sim.driver.run`, :func:`repro.sim.driver.run_many`, and
-:func:`repro.experiments.common.cached_run` — remain as compatibility
+widens these signatures again.  :func:`repro.sim.driver.run` takes the
+same ``options=``; :func:`repro.sim.driver.run_many` and
+:func:`repro.experiments.common.cached_run` remain as compatibility
 shims over the same machinery; new code should start here.
 """
 
@@ -71,17 +71,8 @@ def run(
     builds one from the *what* arguments plus ``options`` (defaulting to
     ``ExecOptions()``: validated, reference backend, no sanitizer/tracer).
     """
-    if isinstance(arch, RunSpec):
-        if options is not None:
-            raise TypeError(
-                "run(RunSpec) carries its own options; "
-                "use spec.replace(options=...) to change them"
-            )
-        return _driver_run(arch)
-    return _driver_run(
-        arch, workload, config=config, n_records=n_records, seed=seed,
-        options=options if options is not None else ExecOptions(),
-    )
+    return _driver_run(arch, workload, config=config, n_records=n_records,
+                       seed=seed, options=options)
 
 
 def run_batch(

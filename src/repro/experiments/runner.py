@@ -68,12 +68,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--backend",
-        choices=["reference", "calendar", "vector"],
+        choices=["reference", "vector"],
         default="reference",
         help="execution backend for every simulation (docs/backends.md); "
-        "all three produce bit-identical results - 'vector' replays "
-        "NumPy-batched instruction traces and 'calendar' swaps the event "
-        "heap for a calendar queue, both for wall-clock speed",
+        "both produce bit-identical results - 'vector' replays "
+        "NumPy-batched instruction traces for wall-clock speed",
     )
     p.add_argument(
         "--store",

@@ -12,7 +12,7 @@ call                                use case
 ==================================  ===================================
 ``run(RunSpec(...))``               one run from a frozen, serializable
                                     spec (the canonical form)
-``run(arch, workload, ...)``        legacy positional form; builds the
+``run(arch, workload, ...)``        positional form; builds the
                                     ``RunSpec`` for you
 ``run_many(arches, workload)``      one workload across architectures,
                                     sharing the built dataset/kernel
@@ -72,42 +72,37 @@ TRAVERSAL: dict[str, str] = {
     "vws-row": "interleaved",
 }
 
-#: key -> (processor class, config transform, needs record barriers,
-#: supports the vector trace-replay backend).  Every architecture is
-#: vectorizable: the MIMD cores replay per-thread traces
-#: (:class:`repro.core.replay.ReplayMixin`), and the SIMT SMs replay
-#: per-warp traces from the PDOM divergence engine
+#: key -> (processor class, config transform, needs record barriers).
+#: Every architecture runs under both execution backends: the MIMD cores
+#: replay per-thread traces (:class:`repro.core.replay.ReplayMixin`), and
+#: the SIMT SMs replay per-warp traces from the PDOM divergence engine
 #: (:class:`repro.core.replay.SimtReplay`).
-ARCHITECTURES: dict[str, tuple[type, Callable[[SystemConfig], SystemConfig], bool, bool]] = {
-    "gpgpu": (GpgpuSM, lambda c: c, False, True),
-    "vws": (VwsSM, lambda c: c, False, True),
-    "vws-row": (VwsRowSM, lambda c: _millipede_cfg(c, flow_control=True), False, True),
-    "ssmc": (SsmcProcessor, lambda c: c, False, True),
+ARCHITECTURES: dict[str, tuple[type, Callable[[SystemConfig], SystemConfig], bool]] = {
+    "gpgpu": (GpgpuSM, lambda c: c, False),
+    "vws": (VwsSM, lambda c: c, False),
+    "vws-row": (VwsRowSM, lambda c: _millipede_cfg(c, flow_control=True), False),
+    "ssmc": (SsmcProcessor, lambda c: c, False),
     "millipede": (
         MillipedeProcessor,
         lambda c: _millipede_cfg(c, flow_control=True, rate_match=False),
         False,
-        True,
     ),
     "millipede-nofc": (
         MillipedeProcessor,
         lambda c: _millipede_cfg(c, flow_control=False, rate_match=False),
         False,
-        True,
     ),
     "millipede-rm": (
         MillipedeProcessor,
         lambda c: _millipede_cfg(c, flow_control=True, rate_match=True),
         False,
-        True,
     ),
     "millipede-bar": (
         MillipedeProcessor,
         lambda c: _millipede_cfg(c, flow_control=False, record_barriers=True),
         True,
-        True,
     ),
-    "multicore": (MulticoreProcessor, lambda c: c, False, True),
+    "multicore": (MulticoreProcessor, lambda c: c, False),
 }
 
 
@@ -186,39 +181,32 @@ def run(
     config: SystemConfig = DEFAULT_CONFIG,
     n_records: Optional[int] = None,
     seed: int = 0,
-    validate: bool = True,
     built: Optional[BuiltWorkload] = None,
-    sanitize: bool = False,
-    trace: bool = False,
-    backend: str = "reference",
     options: Optional[ExecOptions] = None,
     trace_interval_ps: Optional[int] = None,
     probe: Optional[Callable] = None,
 ) -> RunResult:
-    """Simulate one :class:`RunSpec` (or the legacy positional form) and
+    """Simulate one :class:`RunSpec` (or the positional form) and
     validate the result.
 
-    This is the legacy entry point kept for compatibility; new code
-    should prefer :func:`repro.api.run`, which takes an
-    :class:`~repro.sim.options.ExecOptions`.  Passing ``options=`` here
-    supersedes the flat ``validate``/``sanitize``/``trace``/``backend``
-    flags (mixing non-default flags with ``options`` is an error).
+    ``run(RunSpec(...))`` is the canonical entry point; the spec carries
+    its own execution options.  ``run("millipede", "count", ...,
+    options=ExecOptions(...))`` builds the spec for you (``options``
+    defaults to ``ExecOptions()``) and also accepts an unregistered
+    :class:`Workload` *object*.  Pass ``built`` to reuse a prepared
+    workload (e.g. across the architectures of one figure) - it must have
+    been built with the matching thread count.
 
-    ``run(RunSpec(...))`` is the canonical entry point;
-    ``run("millipede", "count", ...)`` builds the spec for you and also
-    accepts an unregistered :class:`Workload` *object*.  Pass ``built``
-    to reuse a prepared workload (e.g. across the architectures of one
-    figure) - it must have been built with the matching thread count.
-
-    ``sanitize=True`` attaches :class:`repro.sanitize.SimSanitizer`
-    runtime invariant checking; violations raise
-    :class:`repro.sanitize.InvariantViolation`.  ``trace=True`` attaches
-    :class:`repro.trace.SimTracer` timeline sampling + host profiling
-    (both observers compose in one run) and fills the result's ``trace``
-    field; ``trace_interval_ps`` overrides the sampling cadence.
-    ``probe(proc, engine, sanitizer)`` is called after construction and
-    before the first event (tests use it to install fault injectors); it
-    keeps ``run`` usable from tests without exposing internals.
+    ``ExecOptions(sanitize=True)`` attaches
+    :class:`repro.sanitize.SimSanitizer` runtime invariant checking;
+    violations raise :class:`repro.sanitize.InvariantViolation`.
+    ``ExecOptions(trace=True)`` attaches :class:`repro.trace.SimTracer`
+    timeline sampling + host profiling (both observers compose in one
+    run) and fills the result's ``trace`` field; ``trace_interval_ps``
+    overrides the sampling cadence.  ``probe(proc, engine, sanitizer)``
+    is called after construction and before the first event (tests use
+    it to install fault injectors); it keeps ``run`` usable from tests
+    without exposing internals.
     """
     if isinstance(arch, RunSpec):
         if workload is not None:
@@ -226,24 +214,24 @@ def run(
                 "run(RunSpec) takes no separate workload argument; "
                 "put the workload name in the spec"
             )
+        if options is not None:
+            raise TypeError(
+                "run(RunSpec) carries its own options; "
+                "use spec.replace(options=...) to change them"
+            )
         spec = arch
         wl = get_workload(spec.workload)
     else:
         wl = get_workload(workload) if isinstance(workload, str) else workload
         if wl is None:
             raise TypeError("run(arch, workload): workload is required")
-        if options is None:
-            options = ExecOptions(validate=validate, sanitize=sanitize,
-                                  trace=trace, backend=backend)
-        elif not (validate, sanitize, trace, backend) == (True, False, False, "reference"):
-            raise TypeError("run(): pass either options= or flat flags, not both")
         spec = RunSpec(
             arch=arch,
             workload=wl.name,
             config=config,
             n_records=n_records,
             seed=seed,
-            options=options,
+            options=options if options is not None else ExecOptions(),
         )
     return _execute(spec, wl, built, probe=probe,
                     trace_interval_ps=trace_interval_ps)
@@ -255,7 +243,7 @@ def _execute(
     trace_interval_ps: Optional[int] = None,
 ) -> RunResult:
     """Run one spec with an already-resolved workload object."""
-    proc_cls, transform, needs_barriers, vectorizable = ARCHITECTURES[spec.arch]
+    proc_cls, transform, needs_barriers = ARCHITECTURES[spec.arch]
     cfg = transform(spec.config)
     arch, validate = spec.arch, spec.validate
     n_threads = spec.n_threads
@@ -276,7 +264,7 @@ def _execute(
             f"{built.traversal} traversal; {arch} needs {n_threads} / {traversal}"
         )
 
-    engine = Engine(scheduler=spec.options.scheduler)
+    engine = Engine()
     stats = Stats()
     sanitizer = None
     if spec.sanitize:
@@ -295,7 +283,7 @@ def _execute(
     # layout metadata enables oracle stream prefetch (baselines) and the
     # safe-wait record-span hint (prefetch buffer)
     extra_kwargs = {"layout": built.layout}
-    if spec.backend == "vector" and vectorizable:
+    if spec.backend == "vector":
         extra_kwargs["backend"] = "vector"
     proc = proc_cls(
         engine,
@@ -392,7 +380,7 @@ def run_many(
     results: dict[str, RunResult] = {}
     shared: dict[tuple[int, bool, str], BuiltWorkload] = {}
     for arch in arches:
-        _, transform, needs_barriers, _ = ARCHITECTURES[arch]
+        _, transform, needs_barriers = ARCHITECTURES[arch]
         cfg = transform(config)
         if arch == "multicore":
             n_threads = cfg.multicore.n_cores * cfg.multicore.n_threads
@@ -410,6 +398,7 @@ def run_many(
                 traversal=traversal,
             )
         results[arch] = run(
-            arch, wl, config=config, seed=seed, validate=validate, built=shared[key]
+            arch, wl, config=config, seed=seed, built=shared[key],
+            options=ExecOptions(validate=validate),
         )
     return results

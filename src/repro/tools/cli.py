@@ -9,6 +9,7 @@ from repro.analysis import RooflineModel, analyze_history, attribute_bottleneck
 from repro.config import DEFAULT_CONFIG
 from repro.isa.instructions import BRANCH_OPS, GLOBAL_MEM_OPS, LOCAL_MEM_OPS
 from repro.sim.driver import ARCHITECTURES, run
+from repro.sim.options import ExecOptions
 from repro.workloads.registry import get_workload, workload_names
 
 
@@ -33,7 +34,6 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         # simulate, so they take the live path below).  Inspection is not
         # a campaign: it must not write or clobber any manifest.
         from repro.sim.campaign import run_batch
-        from repro.sim.options import ExecOptions
         from repro.sim.spec import RunSpec
         from repro.sim.store import FingerprintStore
 
@@ -51,7 +51,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
                       f"and recorded ({len(store)} records in {store.root})")
     else:
         result = run(args.arch, args.workload, n_records=args.records,
-                     sanitize=args.sanitize, trace=args.trace is not None,
+                     options=ExecOptions(sanitize=args.sanitize,
+                                         trace=args.trace is not None),
                      trace_interval_ps=args.trace_interval_ps)
     print(result.summary())
     if result.trace is not None:

@@ -1,11 +1,11 @@
-"""The execution-backend contract: options API, calendar queue, and the
-vector backend's bit-identity guarantee.
+"""The execution-backend contract: options API and the vector backend's
+bit-identity guarantee.
 
 ``docs/backends.md`` states the guarantee these tests enforce: for every
-registered architecture and workload, the ``calendar`` and ``vector``
-backends produce **byte-identical** results to the reference
-interpreter — same finish time, same statistics, same energy, same
-reduced output, same validation verdict — not merely close ones.  The
+registered architecture and workload, the ``vector`` backend produces
+**byte-identical** results to the reference interpreter — same finish
+time, same statistics, same energy, same reduced output, same
+validation verdict — not merely close ones.  The
 differential sweep here is the acceptance gate; if a change breaks
 identity, the fix goes in the backend, never in the tolerance.
 """
@@ -13,12 +13,9 @@ identity, the fix goes in the backend, never in the tolerance.
 from __future__ import annotations
 
 import pickle
-import random
 
 import pytest
 
-from repro.engine.calendar import CalendarQueue
-from repro.engine.events import Engine
 from repro.sim.driver import ARCHITECTURES, run
 from repro.sim.options import BACKENDS, ExecOptions
 from repro.sim.spec import RunSpec
@@ -53,20 +50,17 @@ class TestExecOptions:
         o = ExecOptions()
         assert (o.validate, o.sanitize, o.trace, o.backend) == (
             True, False, False, "reference")
-        assert o.scheduler == "heap"
+        assert BACKENDS == ("reference", "vector")
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
             ExecOptions().backend = "vector"
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            ExecOptions(backend="jit")
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_scheduler_follows_backend(self, backend):
-        expected = "heap" if backend == "reference" else "calendar"
-        assert ExecOptions(backend=backend).scheduler == expected
+        # the removed calendar backend: stored specs may still name it
+        for backend in ("jit", "calendar"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                ExecOptions(backend=backend)
 
     def test_replace(self):
         o = ExecOptions(sanitize=True)
@@ -86,22 +80,30 @@ class TestExecOptions:
 
 
 class TestRunSpecOptions:
-    def test_flat_flags_build_options(self):
-        # the flat-flag shim is this class's subject; see docs/linting.md
-        s = RunSpec("millipede", "count",  # repro-lint: disable=API001
-                    sanitize=True, backend="vector")
-        assert s.options == ExecOptions(sanitize=True, backend="vector")
+    def test_options_views(self):
+        s = RunSpec("millipede", "count",
+                    options=ExecOptions(sanitize=True, backend="vector"))
         assert s.sanitize and s.backend == "vector"  # delegating properties
+        assert not s.trace and s.validate
 
     def test_mixing_options_and_flags_rejected(self):
+        # execution flags go inside options=; there is no flat spelling
         with pytest.raises(TypeError):
-            RunSpec("millipede", "count",  # repro-lint: disable=API001
-                    options=ExecOptions(), sanitize=True)
+            RunSpec("millipede", "count", options=ExecOptions(), sanitize=True)
+        with pytest.raises(TypeError):
+            RunSpec("millipede", "count", sanitize=True)
 
-    def test_replace_routes_option_flags(self):
+    def test_options_must_be_exec_options(self):
+        with pytest.raises(TypeError, match="ExecOptions"):
+            RunSpec("millipede", "count", options={"sanitize": True})
+
+    def test_replace_options(self):
         s = RunSpec("millipede", "count")
-        assert s.replace(backend="vector").options.backend == "vector"
+        vec = s.replace(options=ExecOptions(backend="vector"))
+        assert vec.backend == "vector" and s.backend == "reference"
         assert s.replace(n_records=64).n_records == 64
+        with pytest.raises(TypeError):
+            s.replace(backend="vector")
 
     def test_from_dict_accepts_pre_redesign_flat_dicts(self):
         old = {"arch": "millipede", "workload": "count",
@@ -111,10 +113,18 @@ class TestRunSpecOptions:
         assert s.options == ExecOptions(sanitize=True)
         assert s.seed == 2
 
+    def test_from_dict_rejects_removed_backend(self):
+        # store manifests written while the calendar backend existed can
+        # still hold such specs; they must fail loudly, naming the choices
+        stale = RunSpec("millipede", "count").to_dict()
+        stale["backend"] = "calendar"
+        with pytest.raises(ValueError, match="reference, vector"):
+            RunSpec.from_dict(stale)
+
     def test_from_dict_round_trip(self):
         for s in (RunSpec("ssmc", "kmeans", n_records=512),
-                  RunSpec("millipede", "pca",  # repro-lint: disable=API001
-                          backend="vector", seed=7)):
+                  RunSpec("millipede", "pca", seed=7,
+                          options=ExecOptions(backend="vector"))):
             assert RunSpec.from_dict(s.to_dict()) == s
 
     def test_content_hash_pinned(self):
@@ -128,8 +138,8 @@ class TestRunSpecOptions:
         # different backend => different cache entry (results are
         # identical, but the cache must not conflate what was run)
         ref = RunSpec("millipede", "count")
-        vec = RunSpec("millipede", "count",  # repro-lint: disable=API001
-                      backend="vector")
+        vec = RunSpec("millipede", "count",
+                      options=ExecOptions(backend="vector"))
         assert ref.content_hash() != vec.content_hash()
 
 
@@ -138,9 +148,14 @@ class TestRunSpecOptions:
 # ----------------------------------------------------------------------
 class TestApiFacade:
     def test_run_spec_with_options_rejected(self):
+        # a spec carries its own options: a second set must not be
+        # silently dropped, by the facade or by the driver
         from repro import api
         with pytest.raises(TypeError):
             api.run(RunSpec("millipede", "count"), options=ExecOptions())
+        with pytest.raises(TypeError):
+            run(RunSpec("millipede", "count", n_records=N_RECORDS),
+                options=ExecOptions(trace=True))
 
     def test_cache_bool_rejected(self):
         # cache takes a ResultCache or None; a stray bool must fail at
@@ -172,99 +187,6 @@ class TestApiFacade:
             rb.return_value = [None] * len(workload_names())
             grid = api.sweep(["millipede"])
         assert sorted(wl for _, wl in grid) == sorted(workload_names())
-
-
-# ----------------------------------------------------------------------
-# calendar queue vs. binary heap
-# ----------------------------------------------------------------------
-class TestCalendarQueue:
-    def test_differential_delivery_order(self):
-        # mixed deltas spanning far less / far more than a bucket width,
-        # plus cancellations: both schedulers must agree event-for-event
-        rng = random.Random(1234)
-        deltas = [0, 1, 3, 700, 1429, 100_000, 5_000_000]
-        for _ in range(20):
-            heap_eng, cal_eng = Engine(), Engine(scheduler="calendar")
-            out_h, out_c = [], []
-            cancel_h, cancel_c = [], []
-            plan = [(rng.choice(deltas), i) for i in range(300)]
-            for d, tag in plan:
-                cancel_h.append(heap_eng.schedule(d, out_h.append, tag))
-                cancel_c.append(cal_eng.schedule(d, out_c.append, tag))
-            for k in rng.sample(range(300), 60):
-                heap_eng.cancel(cancel_h[k])
-                cal_eng.cancel(cancel_c[k])
-            n_h = heap_eng.run()
-            n_c = cal_eng.run()
-            assert out_h == out_c
-            assert heap_eng.now == cal_eng.now
-            assert n_h == n_c == 240
-
-    def test_recursive_scheduling_matches_heap(self):
-        rng = random.Random(99)
-        script = [rng.choice([0, 1, 511, 1024, 4096, 1_000_000])
-                  for _ in range(200)]
-
-        def drive(eng):
-            out = []
-
-            def cb(i):
-                out.append((eng.now, i))
-                if i < len(script):
-                    eng.schedule(script[i - 1], cb, i + 1)
-
-            eng.schedule(0, cb, 1)
-            eng.run()
-            return out
-
-        assert drive(Engine()) == drive(Engine(scheduler="calendar"))
-
-    def test_equal_timestamps_fifo(self):
-        eng = Engine(scheduler="calendar")
-        out = []
-        for i in range(10):
-            eng.schedule(50, out.append, i)
-        eng.run()
-        assert out == list(range(10))
-
-    def test_run_until_and_max_events_contract(self):
-        eng = Engine(scheduler="calendar")
-        out = []
-        for t in (100, 200, 300):
-            eng.schedule(t, out.append, t)
-        eng.run(max_events=2)
-        assert out == [100, 200] and eng.now == 200
-        eng.run(until=250)
-        assert eng.now == 250  # advances idle time, holds the 300 event
-        eng.run()
-        assert out == [100, 200, 300] and eng.now == 300
-
-    def test_grow_preserves_order(self):
-        # push far more events than the initial bucket count to force
-        # resizes mid-stream
-        q = CalendarQueue()
-        rng = random.Random(7)
-
-        class Ev:
-            __slots__ = ("time", "seq", "cancelled")
-
-            def __init__(self, time, seq):
-                self.time, self.seq, self.cancelled = time, seq, False
-
-            def __lt__(self, other):
-                return (self.time, self.seq) < (other.time, other.seq)
-
-        evs = [Ev(rng.randrange(0, 10_000_000), i) for i in range(3000)]
-        for e in evs:
-            q.push(e)
-        popped = []
-        while q.peek_min() is not None:
-            popped.append(q.pop_min())
-        assert popped == sorted(evs, key=lambda e: (e.time, e.seq))
-
-    def test_unknown_scheduler_rejected(self):
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            Engine(scheduler="wheel")
 
 
 # ----------------------------------------------------------------------
@@ -309,15 +231,6 @@ class TestBackendEquivalence:
         (proc,) = procs.values()
         assert proc._replay is None
         assert fingerprint(ref) == fingerprint(vec)
-
-    @pytest.mark.parametrize("wl", ["count", "kmeans", "variance"])
-    @pytest.mark.parametrize("arch", ["millipede", "ssmc"])
-    def test_calendar_bit_identical(self, arch, wl):
-        """Calendar scheduler alone (reference interpreter) is also exact."""
-        ref = run(RunSpec(arch, wl, n_records=N_RECORDS))
-        cal = run(RunSpec(arch, wl, n_records=N_RECORDS,
-                          options=ExecOptions(backend="calendar")))
-        assert fingerprint(ref) == fingerprint(cal)
 
     @pytest.mark.parametrize("arch", ["millipede", "millipede-bar",
                                       "millipede-rm", "ssmc", "multicore",

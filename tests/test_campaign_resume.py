@@ -25,6 +25,7 @@ from repro.sim.campaign import (
     shard_specs,
 )
 from repro.sim.driver import RunResult, run
+from repro.sim.options import ExecOptions
 from repro.sim.spec import RunSpec
 from repro.sim.store import FingerprintStore, canonical_result_blob
 
@@ -247,7 +248,7 @@ class TestDeltaCampaign:
         bit on timing/stats/energy."""
         plain = RunSpec("millipede", "count", n_records=256)
         run_campaign([plain], tmp_path)
-        checked = plain.replace(sanitize=True)
+        checked = plain.replace(options=ExecOptions(sanitize=True))
         plan = plan_campaign([plain, checked], tmp_path)
         assert [s.content_hash() for s in plan.to_run] == \
             [checked.content_hash()]
@@ -270,7 +271,7 @@ class TestDeltaCampaign:
     def test_traced_specs_always_resimulate(self, tmp_path):
         spec = RunSpec("millipede", "count", n_records=N)
         run_campaign([spec], tmp_path)
-        traced = spec.replace(trace=True)
+        traced = spec.replace(options=ExecOptions(trace=True))
         run_campaign([traced], tmp_path)
         plan = plan_campaign([traced], tmp_path)
         assert plan.to_run == [traced]  # stored records carry no trace

@@ -40,8 +40,7 @@ def rule_ids(report) -> list[str]:
 def test_registry_has_all_families():
     ids = set(all_rule_classes())
     assert {"DET001", "DET002", "DET003", "HOOK001", "HOOK002",
-            "STAT001", "STAT002", "PICK001", "PICK002", "PURE001",
-            "API001"} <= ids
+            "STAT001", "STAT002", "PICK001", "PICK002", "PURE001"} <= ids
     for rule_id, cls in all_rule_classes().items():
         assert cls.id == rule_id
         assert cls.name and cls.rationale
@@ -417,40 +416,6 @@ def test_pure001_shadow_state_on_self_silent(tmp_path):
         "        sh[0] += 1\n"                   # copy, not the component
     ))
     assert "PURE001" not in rule_ids(report)
-
-
-# ----------------------------------------------------------------------
-# API: execution-options discipline
-# ----------------------------------------------------------------------
-def test_api001_flat_exec_flags_fire(tmp_path):
-    report = lint_source(tmp_path, (
-        "from repro.sim.spec import RunSpec\n"
-        "a = RunSpec('millipede', 'count', sanitize=True)\n"
-        "b = RunSpec('ssmc', 'kmeans', n_records=512,\n"
-        "            trace=True, backend='vector')\n"
-        "import repro.sim.spec as spec_mod\n"
-        "c = spec_mod.RunSpec('gpgpu', 'pca', validate=False)\n"
-    ))
-    assert rule_ids(report).count("API001") == 3
-
-
-def test_api001_options_construction_silent(tmp_path):
-    report = lint_source(tmp_path, (
-        "from repro.sim.options import ExecOptions\n"
-        "from repro.sim.spec import RunSpec\n"
-        "a = RunSpec('millipede', 'count',\n"
-        "            options=ExecOptions(sanitize=True, backend='vector'))\n"
-        "b = RunSpec('ssmc', 'kmeans', n_records=512, seed=3)\n"
-    ))
-    assert "API001" not in rule_ids(report)
-
-
-def test_api001_resolves_aliased_runspec(tmp_path):
-    report = lint_source(tmp_path, (
-        "from repro.sim.spec import RunSpec as RS\n"
-        "a = RS('millipede', 'count', sanitize=True)\n"
-    ))
-    assert rule_ids(report) == ["API001"]
 
 
 # ----------------------------------------------------------------------

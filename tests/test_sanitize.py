@@ -13,9 +13,11 @@ from repro.engine.events import Engine
 from repro.engine.stats import Stats
 from repro.sanitize import InvariantViolation, SimSanitizer
 from repro.sanitize.inject import FaultInjector
+from repro.sim.options import ExecOptions
 from repro.sim.spec import RunSpec
 
 N = 256
+SANITIZED = ExecOptions(sanitize=True)
 
 
 def same_result(a, b) -> bool:
@@ -35,8 +37,8 @@ def same_result(a, b) -> bool:
 class TestCleanRuns:
     @pytest.mark.parametrize("arch", list(ARCHITECTURES))
     def test_sanitized_equals_unsanitized(self, arch):
-        a = run(arch, "variance", n_records=N, sanitize=True)
-        b = run(arch, "variance", n_records=N, sanitize=False)
+        a = run(arch, "variance", n_records=N, options=SANITIZED)
+        b = run(arch, "variance", n_records=N)
         assert same_result(a, b)
 
     def test_clean_run_exercises_invariants(self):
@@ -45,7 +47,8 @@ class TestCleanRuns:
         def probe(proc, engine, sanitizer):
             captured["san"] = sanitizer
 
-        run("millipede", "count", n_records=N, sanitize=True, probe=probe)
+        run("millipede", "count", n_records=N, options=SANITIZED,
+            probe=probe)
         checks = captured["san"].report()["checks"]
         for inv in ("time-monotonicity", "dram-timing", "dram-window",
                     "df-consistency", "pft-retrigger", "pb-capacity"):
@@ -59,10 +62,11 @@ class TestCleanRuns:
                 caps[name] = sanitizer
             return probe
 
-        run("gpgpu", "count", n_records=N, sanitize=True, probe=grab("simt"))
-        run("millipede-bar", "count", n_records=N, sanitize=True,
+        run("gpgpu", "count", n_records=N, options=SANITIZED,
+            probe=grab("simt"))
+        run("millipede-bar", "count", n_records=N, options=SANITIZED,
             probe=grab("bar"))
-        run("millipede-rm", "count", n_records=N, sanitize=True,
+        run("millipede-rm", "count", n_records=N, options=SANITIZED,
             probe=grab("rm"))
         assert caps["simt"].report()["checks"].get("simt-dropped-pop", 0) > 0
         assert caps["bar"].report()["checks"].get(
@@ -71,12 +75,11 @@ class TestCleanRuns:
         assert "clock.millipede" in caps["rm"].report()["components"]
 
     def test_spec_roundtrip_carries_sanitize(self):
-        # flat-flag shim round-trip is the subject; see docs/linting.md
-        spec = RunSpec("millipede", "count",  # repro-lint: disable=API001
-                       n_records=N, sanitize=True)
+        spec = RunSpec("millipede", "count", n_records=N, options=SANITIZED)
         assert RunSpec.from_dict(spec.to_dict()) == spec
         # sanitize is part of identity: cached results are kept separate
-        assert spec.content_hash() != spec.replace(sanitize=False).content_hash()
+        plain = spec.replace(options=ExecOptions())
+        assert spec.content_hash() != plain.content_hash()
         # old serialized specs (no sanitize key) still deserialize
         legacy = spec.to_dict()
         del legacy["sanitize"]
@@ -95,7 +98,8 @@ def expect_violation(arch, workload, invariants, arm, n_records=N):
         arm(inj, proc, engine)
 
     with pytest.raises(InvariantViolation) as exc:
-        run(arch, workload, n_records=n_records, sanitize=True, probe=probe)
+        run(arch, workload, n_records=n_records, options=SANITIZED,
+            probe=probe)
     assert exc.value.invariant in invariants
     assert inj.injected, "fault never armed/injected"
     return exc.value

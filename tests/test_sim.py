@@ -7,6 +7,7 @@ import pytest
 from repro.config import SystemConfig
 from repro.sim.cache import ResultCache, config_fingerprint
 from repro.sim.driver import run, run_many
+from repro.sim.options import ExecOptions
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +36,8 @@ class TestRunResult:
         assert "counts" in count_result.reduced
 
     def test_validate_false_skips_reduction(self):
-        r = run("millipede", "count", n_records=2048, validate=False)
+        r = run("millipede", "count", n_records=2048,
+                options=ExecOptions(validate=False))
         assert r.reduced == {}
         assert not r.validated
 

@@ -15,6 +15,7 @@ from repro.sim.spec import RunSpec
 from repro.trace import SimTracer, TimelineSampler, TraceResult, TraceWriter
 
 N = 512
+TRACED = ExecOptions(trace=True)
 
 
 def dump(result) -> str:
@@ -27,7 +28,7 @@ def dump(result) -> str:
 class TestTracedRunsAreBitIdentical:
     def test_traced_kmeans_matches_plain(self):
         plain = run("millipede", "kmeans", n_records=N)
-        traced = run("millipede", "kmeans", n_records=N, trace=True)
+        traced = run("millipede", "kmeans", n_records=N, options=TRACED)
         assert traced.finish_ps == plain.finish_ps
         assert dump(traced) == dump(plain)
 
@@ -37,7 +38,7 @@ class TestTracedRunsAreBitIdentical:
         still reproduce the plain run byte-for-byte."""
         plain = run("millipede-rm", "kmeans", n_records=N)
         both = run("millipede-rm", "kmeans", n_records=N,
-                   sanitize=True, trace=True)
+                   options=ExecOptions(sanitize=True, trace=True))
         assert both.finish_ps == plain.finish_ps
         assert dump(both) == dump(plain)
 
@@ -50,7 +51,7 @@ class TestTracedRunsAreBitIdentical:
 # ----------------------------------------------------------------------
 class TestTraceContent:
     def kmeans_trace(self):
-        return run("millipede-rm", "kmeans", n_records=N, trace=True).trace
+        return run("millipede-rm", "kmeans", n_records=N, options=TRACED).trace
 
     def test_core_series_sampled(self):
         trace = self.kmeans_trace()
@@ -90,7 +91,7 @@ class TestTraceContent:
         assert instr[-1][0] >= instr[0][0]
 
     def test_meta_carries_run_identity(self):
-        result = run("millipede", "kmeans", n_records=N, trace=True)
+        result = run("millipede", "kmeans", n_records=N, options=TRACED)
         meta = result.trace.meta
         assert meta["arch"] == "millipede" and meta["workload"] == "kmeans"
         assert meta["finish_ps"] == result.finish_ps
@@ -102,7 +103,7 @@ class TestTraceContent:
 # ----------------------------------------------------------------------
 class TestExport:
     def trace(self):
-        return run("millipede-rm", "kmeans", n_records=N, trace=True).trace
+        return run("millipede-rm", "kmeans", n_records=N, options=TRACED).trace
 
     def test_chrome_trace_structure(self):
         trace = self.trace()
@@ -193,11 +194,10 @@ class TestTimelineSampler:
 # ----------------------------------------------------------------------
 class TestCampaignIntegration:
     def test_spec_roundtrip_carries_trace(self):
-        # flat-flag shim round-trip is the subject; see docs/linting.md
-        spec = RunSpec("millipede", "count",  # repro-lint: disable=API001
-                       n_records=N, trace=True)
+        spec = RunSpec("millipede", "count", n_records=N, options=TRACED)
         assert RunSpec.from_dict(spec.to_dict()) == spec
-        assert spec.content_hash() != spec.replace(trace=False).content_hash()
+        plain = spec.replace(options=ExecOptions())
+        assert spec.content_hash() != plain.content_hash()
         legacy = spec.to_dict()
         del legacy["trace"]  # pre-trace serialized specs still deserialize
         assert RunSpec.from_dict(legacy).trace is False
@@ -205,7 +205,7 @@ class TestCampaignIntegration:
     def test_traced_spec_bypasses_cache_but_feeds_it(self, tmp_path):
         cache = ResultCache(tmp_path)
         plain = RunSpec("millipede", "count", n_records=N)
-        traced = plain.replace(trace=True)
+        traced = plain.replace(options=TRACED)
         (first,) = run_batch([traced], workers=1, cache=cache)
         assert first.trace is not None
         # the traced run populated the cache for future untraced runs...
@@ -261,15 +261,15 @@ class TestSimTracer:
         assert trace.samples == [] and trace.host_profile == {}
 
     def test_custom_interval_respected(self):
-        a = run("millipede", "count", n_records=N, trace=True,
+        a = run("millipede", "count", n_records=N, options=TRACED,
                 trace_interval_ps=50_000)
-        b = run("millipede", "count", n_records=N, trace=True,
+        b = run("millipede", "count", n_records=N, options=TRACED,
                 trace_interval_ps=200_000)
         assert a.trace.meta["interval_ps"] == 50_000
         assert len(a.trace.samples) > len(b.trace.samples)
         assert a.finish_ps == b.finish_ps  # cadence never affects timing
 
     def test_gpgpu_probes_warps(self):
-        trace = run("gpgpu", "count", n_records=N, trace=True).trace
+        trace = run("gpgpu", "count", n_records=N, options=TRACED).trace
         names = trace.series_names()
         assert "warps.active" in names and "dram.queue_depth" in names
