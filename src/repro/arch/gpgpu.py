@@ -35,21 +35,17 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.config import SystemConfig, WORD_BYTES
+from repro.core.replay import SimtReplay, build_simt_plan
 from repro.dram.controller import MemoryController
 from repro.dram.dram import GlobalMemory
 from repro.engine.clock import Clock
 from repro.engine.events import Engine
 from repro.engine.stats import Stats
-from repro.isa.executor import ThreadContext, branch_taken, exec_non_memory
-from repro.isa.instructions import Op
+from repro.isa.executor import ThreadContext
 from repro.isa.program import Program
 from repro.mem.dcache import SetAssocCache
 from repro.mem.prefetcher import BlockStream, SequentialPrefetcher, sm_block_schedule
 from repro.mem.shared_memory import BankedSharedMemory
-
-_LDG = int(Op.LDG); _STG = int(Op.STG); _LDL = int(Op.LDL); _STL = int(Op.STL)
-_J = int(Op.J); _HALT = int(Op.HALT)
-_BEQ = int(Op.BEQ); _BNEZ = int(Op.BNEZ)
 
 _CHUNK_CYCLES = 8
 
@@ -160,10 +156,11 @@ class GpgpuSM:
         #: ``on_warp_instr(warp)`` before each warp instruction and
         #: ``on_warp_done(warp)`` at halt.  Must not mutate state.
         self.observer = None
-        #: launch state captured for the vector backend's functional phase
+        #: launch state captured for the functional phase
         self._thread_args: Optional[list] = None
         self._initial_state = None
-        self._replay = None
+        #: the warp-issue replay of the functional plan, built by start()
+        self._replay: Optional[SimtReplay] = None
 
         # accounting
         self.warp_instructions = 0      # I-cache fetches (amortized)
@@ -194,24 +191,11 @@ class GpgpuSM:
             raise ValueError(
                 f"need {self.n_threads_total} thread-arg dicts, got {len(args_per_thread)}"
             )
-        for g, args in enumerate(args_per_thread):
-            self.warps[g // self.width].lanes[g % self.width].set_args(args)
         self._thread_args = args_per_thread
 
     def start(self) -> None:
-        if self.backend == "vector":
-            from repro.core.replay import SimtReplay, build_simt_plan
-
-            plan = build_simt_plan(self, self.config.core.n_registers)
-            self._replay = SimtReplay(self, plan)
-            # swap the per-warp-issue hot path for trace replay; with a
-            # sanitizer attached, the observed variant keeps the live
-            # PDOM stacks evolving for it
-            self._exec_warp = (
-                self._replay.exec_warp_observed
-                if self.observer is not None
-                else self._replay.exec_warp
-            )
+        plan = build_simt_plan(self, self.config.core.n_registers)
+        self._replay = SimtReplay(self, plan)
         self._schedule_run(self.engine.now)
 
     # ------------------------------------------------------------------
@@ -247,9 +231,12 @@ class GpgpuSM:
         chunk_end = t + _CHUNK_CYCLES * period if self.pending else None
         warps = self.warps
         n = len(warps)
+        # with a sanitizer attached, the observed issue path keeps the
+        # live PDOM stacks evolving for it
+        issue = (self._replay.exec_warp if self.observer is None
+                 else self._replay.exec_warp_observed)
 
         while True:
-            issued_lanes = 0
             issued = 0
             start = self._rr
             scanned = 0
@@ -260,7 +247,7 @@ class GpgpuSM:
                     continue
                 issued += 1
                 self._rr = (start + scanned) % n
-                issued_lanes += self._exec_warp(w, t)
+                issue(w, t)
                 w.ready_at = t + gap
 
             if issued == 0:
@@ -291,122 +278,8 @@ class GpgpuSM:
         return self.config.core.issue_gap_cycles
 
     # ------------------------------------------------------------------
-    # warp execution
+    # live PDOM stacks (evolved by the observed replay)
     # ------------------------------------------------------------------
-    def _exec_warp(self, warp: _Warp, t: int) -> int:
-        """Execute one warp instruction; returns the active lane count."""
-        if self.observer is not None:
-            self.observer.on_warp_instr(warp)
-        top = warp.stack[-1]
-        reconv, pc, mask = top
-        ins = self.program.instrs[pc]
-        op = ins.op
-        lanes = warp.lanes
-        width = self.width
-
-        active = [l for l in range(width) if (mask >> l) & 1]
-        n_active = len(active)
-        self.warp_instructions += 1
-        self.active_lane_slots += n_active
-        self.divergence_idle_slots += width - n_active
-
-        if _BEQ <= op <= _BNEZ:
-            taken_mask = 0
-            for l in active:
-                ctx = lanes[l]
-                ctx.instr_count += 1
-                ctx.branches += 1
-                if branch_taken(ctx, ins):
-                    ctx.taken_branches += 1
-                    taken_mask |= 1 << l
-            if taken_mask == mask:
-                self.uniform_branches += 1
-                top[1] = ins.target
-            elif taken_mask == 0:
-                self.uniform_branches += 1
-                top[1] = pc + 1
-            else:
-                self.divergent_branches += 1
-                r = ins.reconv if ins.reconv is not None else len(self.program)
-                top[1] = r  # this entry becomes the reconvergence point
-                warp.stack.append([r, pc + 1, mask & ~taken_mask])
-                warp.stack.append([r, ins.target, taken_mask])
-                # stack push/pop + mask regeneration pipeline penalty
-                pen = self.config.gpgpu.divergence_penalty_cycles
-                if pen:
-                    warp.ready_at = t + pen * self.clock.period_ps
-            self._pop_reconverged(warp)
-            return n_active
-
-        if op == _HALT:
-            if mask != warp.full_mask:
-                raise AssertionError(
-                    f"warp {warp.wid} executed halt with divergent mask "
-                    f"{mask:0{width}b}; kernels must exit uniformly"
-                )
-            for l in active:
-                lanes[l].instr_count += 1
-                lanes[l].halted = True
-            warp.done = True
-            if self.observer is not None:
-                self.observer.on_warp_done(warp)
-            return n_active
-
-        if op == _LDL or op == _STL:
-            phys = []
-            for l in active:
-                ctx = lanes[l]
-                ctx.instr_count += 1
-                if op == _LDL:
-                    addr = int(ctx.regs[ins.rs] + ins.imm)
-                    p = self._translate_shared(ctx.tid, addr)
-                    ctx.commit_load(ins.rd, self.shared_mem.read(p))
-                else:
-                    addr = int(ctx.regs[ins.rt] + ins.imm)
-                    p = self._translate_shared(ctx.tid, addr)
-                    self.shared_mem.write(p, ctx.regs[ins.rs])
-                phys.append(p)
-            extra = self.shared_mem.conflict_cycles(phys) - 1
-            if extra > 0:
-                warp.ready_at = t + extra * self.clock.period_ps
-            top[1] = pc + 1
-            self._pop_reconverged(warp)
-            return n_active
-
-        if op == _LDG:
-            addr_lanes = []
-            for l in active:
-                ctx = lanes[l]
-                ctx.instr_count += 1
-                addr_lanes.append((l, int(ctx.regs[ins.rs] + ins.imm)))
-            top[1] = pc + 1
-            self._pop_reconverged(warp)
-            warp.blocked = True
-            self.pending += 1
-            self.engine.schedule_at(t, self._issue_global, warp, ins.rd, addr_lanes)
-            return n_active
-
-        if op == _STG:
-            raise NotImplementedError(
-                "BMLA Map kernels do not store to global memory (section IV-E)"
-            )
-
-        if op == _J:
-            for l in active:
-                lanes[l].instr_count += 1
-            top[1] = ins.target
-            self._pop_reconverged(warp)
-            return n_active
-
-        # plain ALU / immediate / NOP / BAR: same next pc for all lanes
-        for l in active:
-            ctx = lanes[l]
-            ctx.pc = pc
-            exec_non_memory(ctx, ins)
-        top[1] = pc + 1
-        self._pop_reconverged(warp)
-        return n_active
-
     def _pop_reconverged(self, warp: _Warp) -> None:
         stack = warp.stack
         while len(stack) > 1 and stack[-1][1] == stack[-1][0]:
@@ -415,10 +288,8 @@ class GpgpuSM:
     # ------------------------------------------------------------------
     # global-memory path
     # ------------------------------------------------------------------
-    def _issue_global(self, warp: _Warp, rd: int, addr_lanes: list[tuple[int, int]]) -> None:
+    def _issue_global(self, warp: _Warp, addr_lanes: list[tuple[int, int]]) -> None:
         def on_all_ready(ready_ps: int) -> None:
-            for l, addr in addr_lanes:
-                warp.lanes[l].commit_load(rd, self.global_mem.read_word(addr))
             warp.blocked = False
             self.pending -= 1
             warp.ready_at = ready_ps + self.clock.period_ps
@@ -436,8 +307,7 @@ class GpgpuSM:
 
     # ------------------------------------------------------------------
     def _finish(self, t: int) -> None:
-        if self._replay is not None:
-            self._replay.restore()
+        self._replay.restore()
         self.finish_ps = t
         self.t = t
         self.stats.set("proc.finish_ps", t)
@@ -457,7 +327,7 @@ class GpgpuSM:
         for g in range(self.n_threads_total):
             state = np.empty(self.state_words, dtype=np.float64)
             for a in range(self.state_words):
-                state[a] = self.shared_mem.data[a * self.n_threads_total + g]
+                state[a] = self.shared_mem.data[self._translate_shared(g, a)]
             out.append(state)
         return out
 

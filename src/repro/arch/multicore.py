@@ -26,13 +26,12 @@ from typing import Callable, Optional
 
 from repro.config import SystemConfig, WORD_BYTES
 from repro.core.corelet import MimdCore
-from repro.core.replay import ReplayMixin, build_plan
+from repro.core.replay import build_plan
 from repro.dram.controller import DramRequest, MemoryController
 from repro.dram.dram import GlobalMemory
 from repro.engine.clock import Clock
 from repro.engine.events import Engine
 from repro.engine.stats import Stats
-from repro.isa.executor import MemAccess, ThreadContext
 from repro.isa.program import Program
 from repro.mem.dcache import SetAssocCache
 from repro.mem.local_memory import LocalMemory
@@ -64,19 +63,11 @@ class _XeonCore(MimdCore):
         self.prefetcher = prefetcher
         self.state_l1_accesses = 0
 
-    def _local_access(self, th: ThreadContext, acc: MemAccess) -> None:
-        self.state_l1_accesses += 1
-        super()._local_access(th, acc)
+    def _global_access(self, slot: int, addr: int) -> None:
+        def on_ready(ready_ps: int, _slot=slot) -> None:
+            self._global_done(_slot, ready_ps)
 
-    def _global_access(self, slot: int, acc: MemAccess) -> None:
-        def on_ready(ready_ps: int, _slot=slot, _acc=acc) -> None:
-            self._global_done(_slot, _acc, ready_ps)
-
-        self.prefetcher.demand_access(acc.addr, on_ready)
-
-
-class _ReplayXeonCore(ReplayMixin, _XeonCore):
-    """Vector-backend multicore context bundle: trace-replay loop."""
+        self.prefetcher.demand_access(addr, on_ready)
 
 
 class MulticoreProcessor:
@@ -158,16 +149,13 @@ class MulticoreProcessor:
                 name=f"mc_l1_{core_id}", degree=4,
                 schedule=schedule,
             )
-            core_cls = _ReplayXeonCore if backend == "vector" else _XeonCore
-            core = core_cls(
+            core = _XeonCore(
                 engine,
-                program,
                 core_like,
                 self.clock,
                 LocalMemory(state_bytes // WORD_BYTES),
                 core_id,
                 self._core_done,
-                global_mem.read_word,
                 prefetcher=pf,
             )
             self.cores.append(core)
@@ -189,21 +177,17 @@ class MulticoreProcessor:
                 c.local_mem.data[lo : lo + len(state)] = state
 
     def set_thread_args(self, args_per_thread: list[dict[int, float]]) -> None:
-        self._thread_args = args_per_thread
-        n_threads = self.config.multicore.n_threads
-        expected = self.config.multicore.n_cores * n_threads
+        expected = self.config.multicore.n_cores * self.config.multicore.n_threads
         if len(args_per_thread) != expected:
             raise ValueError(f"need {expected} thread-arg dicts, got {len(args_per_thread)}")
-        for g, args in enumerate(args_per_thread):
-            self.cores[g // n_threads].set_thread_args(g % n_threads, args)
+        self._thread_args = args_per_thread
 
     def start(self) -> None:
-        if self.backend == "vector":
-            # the micro-cycle trick leaves n_registers on the shared core
-            # config; the functional phase only needs registers + state
-            plan = build_plan(self, self.config.core.n_registers)
-            for c in self.cores:
-                c.load_plan(plan)
+        # the micro-cycle trick leaves n_registers on the shared core
+        # config; the functional phase only needs registers + state
+        plan = build_plan(self, self.config.core.n_registers)
+        for c in self.cores:
+            c.load_plan(plan)
         for c in self.cores:
             c.start()
 

@@ -87,7 +87,7 @@ class VwsRowSM(VwsSM):
         # warp via a closure set just before the call
         raise RuntimeError("VwsRowSM routes loads in _issue_global directly")
 
-    def _issue_global(self, warp, rd: int, addr_lanes: list) -> None:
+    def _issue_global(self, warp, addr_lanes: list) -> None:
         remaining = len(addr_lanes)
         latest = self.engine.now
 
@@ -96,8 +96,6 @@ class VwsRowSM(VwsSM):
             remaining -= 1
             latest = max(latest, ready_ps)
             if remaining == 0:
-                for l, addr in addr_lanes:
-                    warp.lanes[l].commit_load(rd, self.global_mem.read_word(addr))
                 warp.blocked = False
                 self.pending -= 1
                 warp.ready_at = latest + self.clock.period_ps

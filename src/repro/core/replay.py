@@ -1,267 +1,64 @@
-"""Trace-replay MIMD core: the ``vector`` backend's timing phase.
+"""Plan production and the SIMT warp-issue replay.
 
-:class:`ReplayMixin` turns any :class:`~repro.core.corelet.MimdCore`
-subclass into a core that *replays* the per-thread issue traces recorded
-by the NumPy functional phase (:mod:`repro.isa.vector`) instead of
-interpreting instructions.  Its ``_run`` is a structural copy of
-``MimdCore._run`` with :func:`repro.isa.executor.step_one` replaced by a
-gap-counter decrement or trace-event consumption — everything that has a
-timing consequence is reproduced operation-for-operation:
-
-* the round-robin ready-thread scan, ``_rr`` advance, ``issued`` count,
-  and ``ready_at[slot] = t + gap`` per issue;
-* the idle-cycle *float accumulation order* (``idle_cycles`` adds the
-  same ``(nt - t) / period`` terms in the same sequence, so the float sum
-  is bit-identical, not merely close);
-* the bounded run-ahead chunking while global accesses are pending, and
-  the exact ``schedule_at`` calls — so the engine's event sequence
-  (times, sequence numbers, delivery order) matches the reference run
-  event-for-event, which is what makes DRAM/prefetch-buffer/barrier/DFS
-  state evolution — and therefore every statistic — byte-identical;
-* ``instr_count`` incremented per issue (the timeline tracer samples
-  ``corelet.instructions`` mid-run).
-
-State the replay never touches per-issue (registers, local-memory
-contents and counters, branch counters) is restored from the functional
-plan in ``_finish``, before the completion callback runs, so end-of-run
-consumers (``collect``, ``thread_states``, validation, energy) see
-exactly the reference values.
-
-The mixin must precede the architecture core class in the MRO, e.g.::
-
-    class _ReplayMillipedeCorelet(ReplayMixin, _MillipedeCorelet):
-        pass
-
-so the architecture's ``_global_access``/``_barrier_hook`` ports still
-apply while ``_run``/``_global_done``/``_finish`` come from here.
+Every run has a functional phase and a timing phase.  The functional
+phase runs in the processor's ``start()``, before simulated time starts:
+:func:`build_plan` / :func:`build_simt_plan` hand the processor's launch
+state to the producer its ``backend`` selects - the scalar interpreter
+(:mod:`repro.isa.scalar`) under ``reference``, the NumPy executor
+(:mod:`repro.isa.vector`) under ``vector`` - and get back a plan of
+per-thread (MIMD) or per-warp (SIMT) issue traces plus end state.  The
+timing phase replays the plan the same way under both backends:
+:meth:`repro.core.corelet.MimdCore._run` on the MIMD cores, and
+:class:`SimtReplay` on the SIMT SMs.
 """
 
 from __future__ import annotations
 
-from repro.core.corelet import _CHUNK_CYCLES
-from repro.isa.executor import MemAccess
 from repro.isa.instructions import Op
-from repro.isa.vector import K_BAR, K_LDG, SimtPlan, VectorPlan
+from repro.isa.vector import K_LDG, SimtPlan, VectorPlan
 
 _LDG = int(Op.LDG)
-_STL = int(Op.STL)
 _J = int(Op.J)
 _HALT = int(Op.HALT)
 _BEQ = int(Op.BEQ)
 _BNEZ = int(Op.BNEZ)
 
 
-class ReplayMixin:
-    """Drop-in replacement for the interpreting hot loop (see module doc)."""
+def _producer(backend: str):
+    """The functional-phase module for ``backend``.  Resolved at call time
+    so instrumentation that wraps ``execute``/``execute_simt`` on the
+    module sees every call."""
+    from repro.isa import scalar, vector
 
-    _plan: VectorPlan = None
-
-    # ------------------------------------------------------------------
-    def load_plan(self, plan: VectorPlan) -> None:
-        """Adopt this core's slice of the functional plan (global thread
-        ``core_id * n_threads + slot`` maps to local ``slot``)."""
-        n = self.cfg.n_threads
-        base = self.core_id * n
-        self._plan = plan
-        self._gaps = [plan.traces[base + s].gaps for s in range(n)]
-        self._kinds = [plan.traces[base + s].kinds for s in range(n)]
-        self._addrs = [plan.traces[base + s].addrs for s in range(n)]
-        self._gap_rem = [(g[0] if g else 0) for g in self._gaps]
-        self._ev_idx = [0] * n
-
-    # ------------------------------------------------------------------
-    def _run(self) -> None:
-        if self._plan is None:
-            raise RuntimeError("replay core started without a plan; "
-                               "the processor must call load_plan() first")
-        self._run_scheduled = False
-        if self.done:
-            return
-        period = self.clock.period_ps
-        now = self.engine.now
-        if now > self.t:
-            # the core sat blocked from self.t to now: idle cycles
-            self.idle_cycles += (now - self.t) / period
-            self.t = now
-        t = self.t
-        gap = self.cfg.issue_gap_cycles * period
-        chunk_end = t + _CHUNK_CYCLES * period if self.pending else None
-
-        threads = self.threads
-        ready_at = self.ready_at
-        blocked = self.blocked
-        n = len(threads)
-        gap_rem = self._gap_rem
-        ev_idx = self._ev_idx
-        all_gaps = self._gaps
-        all_kinds = self._kinds
-        all_addrs = self._addrs
-        # the barrel fast path below leaps whole rotations; it is only
-        # valid when a thread's re-ready gap equals one full rotation
-        dense = gap == n * period
-
-        while True:
-            # -- dense-rotation leap -----------------------------------
-            # With no memory op in flight (no chunking) and every thread
-            # mid-gap and ready exactly at its barrel slot, the next
-            # K = min(gap_rem) rotations are fully determined: thread at
-            # rotation position i issues at t + (r*n + i)*period and is
-            # re-ready exactly one rotation later.  Leap all K rotations
-            # in O(n): the per-issue loop below would produce the very
-            # same t/_rr/ready_at/instr_count trajectory with no idle
-            # terms and no engine interaction, so every observable —
-            # including the float ``idle_cycles`` sum — is untouched.
-            if dense and chunk_end is None:
-                start = self._rr
-                k_min = 0
-                for i in range(n):
-                    s = (start + i) % n
-                    g = gap_rem[s]
-                    if (g == 0 or threads[s].halted or blocked[s]
-                            or ready_at[s] > t + i * period):
-                        k_min = 0
-                        break
-                    if k_min == 0 or g < k_min:
-                        k_min = g
-                if k_min:
-                    leap = k_min * n * period
-                    for i in range(n):
-                        s = (start + i) % n
-                        threads[s].instr_count += k_min
-                        gap_rem[s] -= k_min
-                        ready_at[s] = t + leap + i * period
-                    self.issued += k_min * n
-                    t += leap
-                    # at least one thread's next issue is now its event;
-                    # fall through to the per-issue loop for that
-            # -- pick a ready thread, round-robin ----------------------
-            slot = -1
-            start = self._rr
-            for i in range(n):
-                s = (start + i) % n
-                th = threads[s]
-                if th.halted or blocked[s] or ready_at[s] > t:
-                    continue
-                slot = s
-                break
-            if slot < 0:
-                if all(th.halted for th in threads):
-                    self._finish(t)
-                    return
-                waiting = [ready_at[s] for s in range(n)
-                           if not threads[s].halted and not blocked[s]]
-                if not waiting:
-                    self.t = t
-                    return  # all blocked on memory/barrier: sleep
-                nt = min(waiting)
-                self.idle_cycles += (nt - t) / period
-                t = nt
-                continue
-
-            self._rr = (slot + 1) % n
-            th = threads[slot]
-            th.instr_count += 1
-            self.issued += 1
-            ready_at[slot] = t + gap
-
-            g = gap_rem[slot]
-            if g:
-                # a pure issue: ALU/branch/jump/local-memory, one cycle,
-                # no core interaction (functional effects already applied)
-                gap_rem[slot] = g - 1
-            else:
-                i = ev_idx[slot]
-                kind = all_kinds[slot][i]
-                ev_idx[slot] = i + 1
-                gaps = all_gaps[slot]
-                gap_rem[slot] = gaps[i + 1] if i + 1 < len(gaps) else 0
-                if kind == K_LDG:
-                    acc = MemAccess(_LDG, all_addrs[slot][i], 0, 0.0,
-                                    False, True)
-                    blocked[slot] = True
-                    self.pending += 1
-                    self.engine.schedule_at(t, self._issue_global, slot, acc)
-                    if chunk_end is None:
-                        chunk_end = t + _CHUNK_CYCLES * period
-                elif kind == K_BAR:
-                    blocked[slot] = True
-                    self.at_barrier[slot] = True
-                    self.engine.schedule_at(t, self._barrier_hook, slot)
-                else:  # K_HALT
-                    th.halted = True
-
-            t += period
-            if chunk_end is not None and t >= chunk_end:
-                if self.pending:
-                    self.t = t
-                    self._schedule_run(t)
-                    return
-                chunk_end = None
-
-    # ------------------------------------------------------------------
-    def _global_done(self, slot: int, acc: MemAccess, ready_ps: int) -> None:
-        # reference commits the loaded word here; the functional phase
-        # already applied it, so only the timing consequences remain
-        self.blocked[slot] = False
-        self.pending -= 1
-        self.ready_at[slot] = ready_ps + self.clock.period_ps
-        self._schedule_run(max(self.t, self.ready_at[slot]))
-
-    # ------------------------------------------------------------------
-    def _finish(self, t: int) -> None:
-        """Restore functionally-maintained state before announcing
-        completion (the processor's done callback may inspect us)."""
-        plan = self._plan
-        n = self.cfg.n_threads
-        base = self.core_id * n
-        for s, th in enumerate(self.threads):
-            th.branches = int(plan.branches[base + s])
-            th.taken_branches = int(plan.taken_branches[base + s])
-        lm = self.local_mem
-        sw = self.state_words
-        for s in range(n):
-            lm.data[s * sw : s * sw + sw] = plan.local[base + s]
-        reads = int(plan.local_reads[base : base + n].sum())
-        writes = int(plan.local_writes[base : base + n].sum())
-        lm.reads = reads
-        lm.writes = writes
-        if hasattr(self, "state_l1_accesses"):
-            # SSMC/multicore count every live-state access as an L1 hit
-            self.state_l1_accesses = reads + writes
-        super()._finish(t)
+    return vector if backend == "vector" else scalar
 
 
 class SimtReplay:
-    """Warp-issue replay for the SIMT SMs (``gpgpu``/``vws``/``vws-row``).
+    """Warp-issue replay for the SIMT SMs (``gpgpu``/``vws``/``vws-row``):
+    the SM's only issue path.
 
-    The SM's ``_run`` loop is already warp-granular and architecture-
-    agnostic, so unlike the MIMD cores no structural copy is needed: the
-    SM swaps its per-warp-issue ``_exec_warp`` for one of the two bound
-    methods here and keeps its scheduling loop, global-memory path
-    (``_issue_global``: coalescing, transaction count, port
-    serialization) and finish logic untouched.
+    The SM's ``_run`` loop is warp-granular and architecture-agnostic; it
+    calls one of the two methods here per warp issue and keeps its
+    scheduling loop, global-memory path (``_issue_global``: coalescing,
+    transaction count, port serialization) and finish logic.
 
     * :meth:`exec_warp` (no observer attached) consumes the warp's
       recorded trace: decrement a pure-issue gap, or raise the recorded
-      event — block on a global load with the recorded per-lane
-      addresses, or retire the warp at halt.  The reference's
-      mid-``_exec_warp`` ``ready_at`` writes (divergence penalty,
-      shared-memory conflict serialization) need no replay: ``_run``
-      unconditionally overwrites ``ready_at`` with the issue gap right
-      after every ``_exec_warp`` return, so they never had a timing
-      consequence (the shipped bank striping is conflict-free; the
-      functional phase still counts conflicts exactly for other
-      configurations).
+      event - block on a global load with the recorded per-lane
+      addresses, or retire the warp at halt.  Divergence penalties and
+      shared-memory conflict serialization have no timing consequence:
+      ``_run`` sets ``ready_at`` to the issue gap after every issue (the
+      shipped bank striping is conflict-free; the functional phase still
+      counts conflicts exactly for other configurations).
     * :meth:`exec_warp_observed` (sanitizer attached) additionally
-      evolves the warp's *live* PDOM stack instruction-by-instruction —
+      evolves the warp's *live* PDOM stack instruction-by-instruction -
       decoding the program at the stack's top PC and consuming the
-      recorded branch taken-masks — so ``on_warp_instr``/``on_warp_done``
-      observe exactly the reference stack states, in the same order, the
-      same number of times.
+      recorded branch taken-masks - so ``on_warp_instr``/``on_warp_done``
+      observe every stack state of the reference discipline, in order.
 
-    Functionally-maintained end state (shared-memory contents and
-    counters, per-lane instruction/branch counters, warp aggregate
-    counters) is restored by :meth:`restore` from the SM's ``_finish``
+    Functionally-maintained end state (registers, shared-memory contents
+    and counters, per-lane instruction/branch counters, warp aggregate
+    counters) is installed by :meth:`restore` from the SM's ``_finish``
     before the completion callback runs.
     """
 
@@ -279,29 +76,28 @@ class SimtReplay:
         self._br = [0] * len(traces)   # next branch taken-mask (observed)
 
     # ------------------------------------------------------------------
-    def exec_warp(self, warp, t: int) -> int:
+    def exec_warp(self, warp, t: int) -> None:
         """Fast path: one warp issue off the trace (no observer)."""
         w = warp.wid
         g = self._gap_rem[w]
         if g:
             self._gap_rem[w] = g - 1
-            return 0
+            return
         i = self._ev[w]
         self._ev[w] = i + 1
         gaps = self._gaps[w]
         self._gap_rem[w] = gaps[i + 1] if i + 1 < len(gaps) else 0
         if self._kinds[w][i] == K_LDG:
-            rd, addr_lanes = self._payloads[w][i]
             sm = self.sm
             warp.blocked = True
             sm.pending += 1
-            sm.engine.schedule_at(t, sm._issue_global, warp, rd, addr_lanes)
+            sm.engine.schedule_at(t, sm._issue_global, warp,
+                                  self._payloads[w][i])
         else:  # K_HALT
             warp.done = True
-        return 0
 
     # ------------------------------------------------------------------
-    def exec_warp_observed(self, warp, t: int) -> int:
+    def exec_warp_observed(self, warp, t: int) -> None:
         """Sanitized path: evolve the live PDOM stack per issue so the
         observer sees reference stack states (see class docstring)."""
         sm = self.sm
@@ -325,27 +121,26 @@ class SimtReplay:
                 warp.stack.append([r, pc + 1, mask & ~tm])
                 warp.stack.append([r, ins.target, tm])
             sm._pop_reconverged(warp)
-            return 0
+            return
 
         if op == _HALT:
             warp.done = True
             sm.observer.on_warp_done(warp)
-            return 0
+            return
 
         if op == _LDG:
             i = self._ldg[w]
             self._ldg[w] = i + 1
-            rd, addr_lanes = self._payloads[w][i]
             top[1] = pc + 1
             sm._pop_reconverged(warp)
             warp.blocked = True
             sm.pending += 1
-            sm.engine.schedule_at(t, sm._issue_global, warp, rd, addr_lanes)
-            return 0
+            sm.engine.schedule_at(t, sm._issue_global, warp,
+                                  self._payloads[w][i])
+            return
 
         top[1] = ins.target if op == _J else pc + 1
         sm._pop_reconverged(warp)
-        return 0
 
     # ------------------------------------------------------------------
     def restore(self) -> None:
@@ -368,51 +163,43 @@ class SimtReplay:
             base = warp.wid * width
             for l, ctx in enumerate(warp.lanes):
                 g = base + l
+                ctx.regs = plan.regs[g].tolist()
                 ctx.instr_count = int(plan.instr_count[g])
                 ctx.branches = int(plan.branches[g])
                 ctx.taken_branches = int(plan.taken_branches[g])
                 ctx.halted = True
 
 
+def _launch_args(processor) -> list:
+    args = getattr(processor, "_thread_args", None)
+    if args is None:
+        raise RuntimeError("set_thread_args() must precede start()")
+    return args
+
+
 def build_simt_plan(sm, n_registers: int) -> SimtPlan:
     """Run the SIMT functional phase for an SM's stored launch state."""
-    from repro.isa.vector import execute_simt
-
-    args = getattr(sm, "_thread_args", None)
-    if args is None:
-        raise RuntimeError(
-            "vector backend requires set_thread_args() before start()"
-        )
-    return execute_simt(
+    return _producer(sm.backend).execute_simt(
         sm.program,
         sm.global_mem.data,
-        args,
+        _launch_args(sm),
         n_registers,
         sm.state_words,
         sm.width,
-        getattr(sm, "_initial_state", None),
+        sm._initial_state,
         n_banks=sm.shared_mem.n_banks,
     )
 
 
 def build_plan(processor, n_registers: int) -> VectorPlan:
-    """Run the functional phase for a processor's stored launch state.
-
-    Expects the processor to have captured ``_thread_args`` (global
-    thread order) and ``_initial_state`` before ``start()``."""
-    from repro.isa.vector import execute
-
+    """Run the MIMD functional phase for a processor's stored launch state
+    (``_thread_args`` in global thread order, ``_initial_state``)."""
     cores = getattr(processor, "corelets", None) or processor.cores
-    args = getattr(processor, "_thread_args", None)
-    if args is None:
-        raise RuntimeError(
-            "vector backend requires set_thread_args() before start()"
-        )
-    return execute(
+    return _producer(processor.backend).execute(
         processor.program,
         processor.global_mem.data,
-        args,
+        _launch_args(processor),
         n_registers,
         cores[0].state_words,
-        getattr(processor, "_initial_state", None),
+        processor._initial_state,
     )

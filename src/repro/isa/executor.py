@@ -1,15 +1,17 @@
 """Per-thread interpreter.
 
-This is the hottest code in the simulator (every simulated instruction
-passes through :func:`step_one`), so it follows the HPC-Python guidance for
-inner loops: flat ``if/elif`` dispatch on integer opcodes, ``__slots__``
-contexts, locals bound once, and no allocation on the common (ALU) path.
+The ``reference`` backend's functional phase (:mod:`repro.isa.scalar`)
+passes every simulated instruction through :func:`step_one`, so it follows
+the HPC-Python guidance for inner loops: flat ``if/elif`` dispatch on
+integer opcodes, ``__slots__`` contexts, locals bound once, and no
+allocation on the common (ALU) path.  It is also the independent
+functional oracle the NumPy executor (:mod:`repro.isa.vector`) is tested
+against.
 
 The interpreter is architecture-agnostic: memory instructions are *not*
-performed here - they are returned as :class:`MemAccess` descriptors and the
-owning architecture model decides latency, routing (prefetch buffer, L1D,
-shared memory, ...) and when to commit the register write.  The program
-counter is advanced at issue time so a blocked load never re-executes.
+performed here - they are returned as :class:`MemAccess` descriptors and
+the caller performs the access and commits a load's register write.  The
+program counter is advanced at issue time.
 """
 
 from __future__ import annotations
@@ -32,14 +34,6 @@ _BEQ = int(Op.BEQ); _BNE = int(Op.BNE); _BLT = int(Op.BLT); _BGE = int(Op.BGE)
 _BEQZ = int(Op.BEQZ); _BNEZ = int(Op.BNEZ); _J = int(Op.J)
 _LDG = int(Op.LDG); _STG = int(Op.STG); _LDL = int(Op.LDL); _STL = int(Op.STL)
 _HALT = int(Op.HALT); _NOP = int(Op.NOP); _BAR = int(Op.BAR)
-
-
-class Outcome:
-    """Instruction classification returned by :func:`step_one`."""
-
-    OK = 0      #: completed ALU/control instruction
-    MEM = 1     #: memory access pending (see the returned MemAccess)
-    HALT = 2    #: thread finished
 
 
 class MemAccess:
@@ -110,10 +104,10 @@ def branch_taken(ctx: ThreadContext, ins: Instr) -> bool:
     raise ValueError(f"not a conditional branch: {ins.text}")
 
 
-def exec_non_memory(ctx: ThreadContext, ins: Instr) -> int:
-    """Execute one ALU / control instruction; returns an Outcome code.
+def exec_non_memory(ctx: ThreadContext, ins: Instr) -> None:
+    """Execute one ALU / control instruction.
 
-    Used directly by the SIMT lane loop; MIMD cores go through
+    Used directly by the SIMT lane loop; MIMD threads go through
     :func:`step_one` which also classifies memory operations.
     """
     regs = ctx.regs
@@ -180,13 +174,13 @@ def exec_non_memory(ctx: ThreadContext, ins: Instr) -> int:
     elif op == _NOP or op == _BAR:
         # SIMT warps are implicitly synchronized; BAR is a NOP for them
         ctx.pc += 1
-        return Outcome.OK
+        return
     elif op == _J:
         ctx.pc = ins.target
-        return Outcome.OK
+        return
     elif op == _HALT:
         ctx.halted = True
-        return Outcome.HALT
+        return
     elif _BEQ <= op <= _BNEZ:
         ctx.branches += 1
         if branch_taken(ctx, ins):
@@ -194,14 +188,13 @@ def exec_non_memory(ctx: ThreadContext, ins: Instr) -> int:
             ctx.pc = ins.target
         else:
             ctx.pc += 1
-        return Outcome.OK
+        return
     else:
         raise ValueError(f"exec_non_memory cannot execute {ins.text}")
 
     if rd:
         regs[rd] = v
     ctx.pc += 1
-    return Outcome.OK
 
 
 def step_one(ctx: ThreadContext, ins: Instr) -> Optional[MemAccess]:

@@ -1,10 +1,12 @@
-"""NumPy batch functional executor (the ``vector`` backend's first phase).
+"""NumPy batch functional executor (the ``vector`` backend's functional phase).
 
-The reference simulator interprets one instruction per
-:func:`repro.isa.executor.step_one` call inside the event loop.  That is
-exact but slow: interpretation dominates the host profile.  This module
-exploits a structural property of every BMLA kernel to pull the *functional*
-work out of the event loop entirely:
+Every run executes in two phases: a functional phase that runs each
+thread to completion before simulated time starts and records its issue
+trace, and a timing phase that replays the traces through the event
+simulation.  This module is the ``vector`` backend's producer; the
+``reference`` backend's is the scalar interpreter (:mod:`repro.isa.scalar`),
+with the same signatures and plan types.  Both rest on a structural
+property of every BMLA kernel:
 
 **threads never share mutable state.**  Global memory is read-only input
 (``stg`` is not implemented, section IV-E), and live state lives in
@@ -12,19 +14,16 @@ thread-private scratchpad partitions.  Therefore each thread's functional
 trajectory — every register value, branch outcome, and memory address —
 is fully determined by its start state and is *independent of all timing*.
 
-So the ``vector`` backend splits a run in two phases:
-
 1. **Functional phase (here):** execute all ``T`` hardware threads in
    lockstep as NumPy column operations.  Threads are grouped by PC
    (most-populated PC first); the straight-line basic block at that PC
    (boundaries from :func:`repro.isa.cfg.leader_pcs`) runs as one batched
    column op per instruction across the whole group.  The output is a
-   :class:`VectorPlan`: per-thread instruction *traces* plus final local
-   memory and per-thread counters.
-2. **Timing phase (:mod:`repro.core.replay`):** the event-driven core
-   model re-runs with the per-instruction interpreter replaced by trace
-   consumption — identical issue order, identical event schedule,
-   identical statistics, at a fraction of the per-issue cost.
+   :class:`VectorPlan`: per-thread instruction *traces* plus final
+   registers, local memory and per-thread counters.
+2. **Timing phase** (:meth:`repro.core.corelet.MimdCore._run`,
+   :class:`repro.core.replay.SimtReplay`): the event-driven core model
+   consumes the traces — one issue loop for both backends.
 
 The same machinery drives the SIMT architectures (``gpgpu``/``vws``/
 ``vws-row``): :func:`execute_simt` runs a **PDOM divergence engine** over
@@ -34,8 +33,8 @@ warp in lockstep through the shared column-op dispatch and recording
 per-*warp* traces plus the per-branch taken-lane masks the observed replay
 needs to evolve the reference stack discipline.  Warp-stack transitions
 happen only at basic-block boundaries, which is exact: every reconvergence
-PC and every stack next-PC is a block leader, so the reference's
-per-instruction ``_pop_reconverged`` can only ever fire where a block ends.
+PC and every stack next-PC is a block leader, so the scalar discipline's
+per-instruction reconvergence pop can only ever fire where a block ends.
 
 Traces
 ------
@@ -56,8 +55,8 @@ Every gap unit and every event is exactly one issued instruction, so
 A *warp* trace (:class:`WarpTrace`) is the same structure per warp: the
 SIMT cores issue whole warps, and barriers are plain issues there (the
 SIMT architectures run barrier-free kernels), so only ``K_LDG`` and
-``K_HALT`` occur; a load's payload carries the ``(lane, address)`` pairs
-of the active lanes in the reference's ascending-lane order.
+``K_HALT`` occur; a load's payload is the list of ``(lane, address)``
+pairs of the active lanes in ascending-lane order.
 
 Exactness
 ---------
@@ -65,15 +64,14 @@ Column ops are written to match the scalar interpreter bit-for-bit on
 IEEE-754 float64: ``min``/``max`` via ``np.where`` (propagates the scalar
 ``a if a < b else b`` choice exactly), integer ops via truncating int64
 casts with NumPy's floor-division/remainder (Python semantics), and error
-parity for the reference's failure modes (``ZeroDivisionError``, sqrt
-domain, address range, ``stg``, divergent ``halt``).  The one
+parity with the scalar interpreter's failure modes (``ZeroDivisionError``,
+sqrt domain, address range, ``stg``, divergent ``halt``).  The one
 representational difference is that registers here are always float64
 while the scalar interpreter keeps Python ints exact beyond 2**53 —
 irrelevant for every kernel the workload framework can emit (addresses
 and counters stay far below 2**53) and checked nowhere else, but
 documented for honesty.  Fatal kernel errors surface during this phase,
-i.e. *before* simulated time starts, rather than mid-run as in the
-reference.
+i.e. *before* simulated time starts, as they do under the scalar producer.
 """
 
 from __future__ import annotations
@@ -125,12 +123,12 @@ class WarpTrace:
 
     ``gaps``/``kinds`` follow the :class:`ThreadTrace` structure at warp
     granularity (only ``K_LDG``/``K_HALT`` occur; barriers are plain warp
-    issues on the SIMT cores).  ``payloads[i]`` carries a load's
-    ``(rd, [(lane, word_address), ...])`` in ascending active-lane order,
-    or ``None`` for the halt.  ``tmasks`` lists the taken-lane mask of
+    issues on the SIMT cores).  ``payloads[i]`` is a load's
+    ``[(lane, word_address), ...]`` in ascending active-lane order, or
+    ``None`` for the halt.  ``tmasks`` lists the taken-lane mask of
     every branch the warp issued, in issue order — the observed replay
-    consumes them to evolve the live PDOM stack exactly as the reference
-    interpreter would.
+    consumes them to evolve the live PDOM stack exactly as the scalar
+    stack discipline does.
     """
 
     __slots__ = ("gaps", "kinds", "payloads", "tmasks")
@@ -149,15 +147,17 @@ class WarpTrace:
 class VectorPlan:
     """Everything the functional phase produced for the timing replay."""
 
-    __slots__ = ("traces", "local", "branches", "taken_branches",
+    __slots__ = ("traces", "local", "regs", "branches", "taken_branches",
                  "local_reads", "local_writes")
 
-    def __init__(self, traces, local, branches, taken_branches,
+    def __init__(self, traces, local, regs, branches, taken_branches,
                  local_reads, local_writes):
         #: per-global-thread :class:`ThreadTrace`
         self.traces: list[ThreadTrace] = traces
         #: final per-thread live state, shape ``[T, state_words]`` float64
         self.local: np.ndarray = local
+        #: final per-thread registers, shape ``[T, n_regs]`` float64
+        self.regs: np.ndarray = regs
         self.branches: np.ndarray = branches              # [T] int64
         self.taken_branches: np.ndarray = taken_branches  # [T] int64
         self.local_reads: np.ndarray = local_reads        # [T] int64
@@ -168,13 +168,13 @@ class SimtPlan:
     """The SIMT functional phase's product: per-warp traces, final live
     state, and every counter the timing replay restores at finish."""
 
-    __slots__ = ("warp_traces", "local", "instr_count", "branches",
+    __slots__ = ("warp_traces", "local", "regs", "instr_count", "branches",
                  "taken_branches", "local_reads", "local_writes",
                  "warp_instructions", "active_lane_slots",
                  "divergence_idle_slots", "divergent_branches",
                  "uniform_branches", "shared_accesses", "conflict_extra")
 
-    def __init__(self, warp_traces, local, instr_count, branches,
+    def __init__(self, warp_traces, local, regs, instr_count, branches,
                  taken_branches, local_reads, local_writes,
                  warp_instructions, active_lane_slots,
                  divergence_idle_slots, divergent_branches,
@@ -183,6 +183,8 @@ class SimtPlan:
         self.warp_traces: list[WarpTrace] = warp_traces
         #: final per-thread live state, shape ``[T, state_words]`` float64
         self.local: np.ndarray = local
+        #: final per-thread registers, shape ``[T, n_regs]`` float64
+        self.regs: np.ndarray = regs
         self.instr_count: np.ndarray = instr_count        # [T] int64
         self.branches: np.ndarray = branches              # [T] int64
         self.taken_branches: np.ndarray = taken_branches  # [T] int64
@@ -296,6 +298,7 @@ def execute(
     return VectorPlan(
         traces=machine.traces,
         local=L,
+        regs=R,
         branches=machine.branches,
         taken_branches=machine.taken,
         local_reads=machine.lreads,
@@ -319,10 +322,10 @@ def execute_simt(
 
     ``width`` is the warp width (lanes per warp); threads group into warps
     in global-thread order, ``width`` consecutive threads per warp —
-    exactly the reference SM's lane layout.  ``n_banks`` enables
-    banked-shared-memory conflict accounting (the reference charges one
-    access per active lane per local load/store and serializes bank
-    conflicts); ``issue_log``, when given a list, receives one
+    exactly the SM's lane layout.  ``n_banks`` enables
+    banked-shared-memory conflict accounting (one access per active lane
+    per local load/store, bank conflicts serialized; the SM stripes
+    thread ``g``'s word ``a`` to ``a * T + g``); ``issue_log``, when given a list, receives one
     ``(wid, block_pc, n_instrs, mask, stack_snapshot)`` tuple per
     warp-block execution — the property tests expand these into the
     per-issue stream and compare against the reference stack discipline.
@@ -339,6 +342,7 @@ def execute_simt(
     return SimtPlan(
         warp_traces=machine.traces,
         local=L,
+        regs=R,
         instr_count=machine.instr_count,
         branches=machine.branches,
         taken_branches=machine.taken,
@@ -618,17 +622,17 @@ class _VectorMachine(_LockstepMachine):
 class _SimtMachine(_LockstepMachine):
     """PDOM divergence engine: lockstep warps over dense stack matrices.
 
-    The per-warp reconvergence stack of the reference
-    (:class:`repro.arch.gpgpu._Warp`: a list of ``[reconv_pc, next_pc,
-    mask]`` frames) is held here as three ``[n_warps, capacity]`` int64
+    The per-warp reconvergence stack of the scalar discipline
+    (:mod:`repro.isa.scalar`, :class:`repro.arch.gpgpu._Warp`: a list of
+    ``[reconv_pc, next_pc, mask]`` frames) is held here as three ``[n_warps, capacity]`` int64
     matrices plus a depth vector.  Warps group by top-of-stack PC
     (most-populated first); one basic block executes for the whole group
     in lockstep, the active lanes of every grouped warp gathered into one
     flat thread-index vector for the shared column-op dispatch.  Stack
     transitions (branch push, jump/fall advance, reconvergence pops)
     happen only at block ends — exact, because every reconvergence PC and
-    every frame next-PC is a block leader, so the reference's
-    after-every-instruction ``_pop_reconverged`` can only fire there.
+    every frame next-PC is a block leader, so the scalar discipline's
+    after-every-instruction reconvergence pop can only fire there.
     """
 
     def __init__(self, program, blocks, gm_data, R, L, state_words,
@@ -687,13 +691,12 @@ class _SimtMachine(_LockstepMachine):
             block = self.blocks.get(pc)
             if block is None:
                 raise RuntimeError(f"pc {pc} is not a basic-block leader")
-            self._exec_warp_block(block, ws)
+            self._run_warp_block(block, ws)
 
     # ------------------------------------------------------------------
     def _simt_pattern(self, block: _Block) -> tuple:
         """``(events, trailing, n_shared)`` with barriers folded into the
-        pure-gap counts (the SIMT cores issue BAR inline) and each LDG
-        event carrying its destination register."""
+        pure-gap counts (the SIMT cores issue BAR inline)."""
         pat = self._simt_pats.get(block.pc)
         if pat is None:
             events = []
@@ -703,11 +706,11 @@ class _SimtMachine(_LockstepMachine):
             for ins in block.instrs:
                 op = int(ins.op)
                 if op == _LDG:
-                    events.append((pure, K_LDG, n_ldg, ins.rd))
+                    events.append((pure, K_LDG, n_ldg))
                     n_ldg += 1
                     pure = 0
                 elif op == _HALT:
-                    events.append((pure, K_HALT, -1, 0))
+                    events.append((pure, K_HALT, -1))
                     pure = 0
                 else:
                     if op == _LDL or op == _STL:
@@ -718,7 +721,7 @@ class _SimtMachine(_LockstepMachine):
         return pat
 
     # ------------------------------------------------------------------
-    def _exec_warp_block(self, block: _Block, ws: np.ndarray) -> None:
+    def _run_warp_block(self, block: _Block, ws: np.ndarray) -> None:
         width = self.width
         depth = self.depth
         d = depth[ws] - 1
@@ -779,12 +782,12 @@ class _SimtMachine(_LockstepMachine):
                 tr = traces[w]
                 acc = int(gap_acc[w])
                 lanes = lane_ids[lane_bits[gi]].tolist()
-                for pure, kind, ldg_i, rd in events:
+                for pure, kind, ldg_i in events:
                     tr.gaps.append(acc + pure)
                     tr.kinds.append(kind)
                     if kind == K_LDG:
                         seg = ldg_cols[ldg_i][off[gi]:off[gi + 1]].tolist()
-                        tr.payloads.append((rd, list(zip(lanes, seg))))
+                        tr.payloads.append(list(zip(lanes, seg)))
                     else:
                         tr.payloads.append(None)
                     acc = 0

@@ -73,10 +73,10 @@ TRAVERSAL: dict[str, str] = {
 }
 
 #: key -> (processor class, config transform, needs record barriers).
-#: Every architecture runs under both execution backends: the MIMD cores
-#: replay per-thread traces (:class:`repro.core.replay.ReplayMixin`), and
-#: the SIMT SMs replay per-warp traces from the PDOM divergence engine
-#: (:class:`repro.core.replay.SimtReplay`).
+#: Every architecture runs under both execution backends, which differ only
+#: in the functional producer of the issue traces; the MIMD cores replay
+#: per-thread traces (:meth:`repro.core.corelet.MimdCore._run`) and the
+#: SIMT SMs per-warp traces (:class:`repro.core.replay.SimtReplay`).
 ARCHITECTURES: dict[str, tuple[type, Callable[[SystemConfig], SystemConfig], bool]] = {
     "gpgpu": (GpgpuSM, lambda c: c, False),
     "vws": (VwsSM, lambda c: c, False),

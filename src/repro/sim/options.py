@@ -11,23 +11,24 @@ vocabulary.
 
 Backends
 --------
+Every run records per-thread (MIMD) or per-warp (SIMT) issue traces in a
+functional phase, then replays them through one shared event-driven
+timing loop.  The backend picks only the functional producer:
+
 ===============  ========================================================
-``reference``    per-instruction Python interpreter (the original,
-                 always-available path)
-``vector``       NumPy batch interpreter: each processor's threads are
+``reference``    the scalar interpreter runs each thread (or warp) to
+                 completion (:mod:`repro.isa.scalar`); the functional
+                 oracle
+``vector``       NumPy batch executor: each processor's threads are
                  functionally executed as vectorized column ops over
-                 basic blocks (:mod:`repro.isa.vector`), then the event
-                 engine replays the recorded traces.  Bit-identical
-                 statistics, metrics and reduced results.  Covers every
-                 registered architecture: MIMD cores replay per-thread
-                 traces, and the SIMT SMs (``gpgpu``/``vws``/``vws-row``)
-                 replay per-warp traces from the lockstep PDOM
-                 divergence engine.
+                 basic blocks (:mod:`repro.isa.vector`; a lockstep PDOM
+                 divergence engine on the SIMT SMs)
 ===============  ========================================================
 
-Both backends run on the same binary-heap event engine and are proven
-byte-identical by ``tests/test_backends.py``; see
-``docs/backends.md`` for selection guidance and the equivalence argument.
+Both backends run on the same binary-heap event engine and the same
+timing replay, and are proven byte-identical by
+``tests/test_backends.py``; see ``docs/backends.md`` for selection
+guidance and the equivalence argument.
 
 >>> ExecOptions(backend="vector").backend
 'vector'

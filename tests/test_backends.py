@@ -1,21 +1,26 @@
-"""The execution-backend contract: options API and the vector backend's
-bit-identity guarantee.
+"""The execution-backend contract: options API, plan-level identity of
+the two functional producers, and end-to-end bit identity.
 
 ``docs/backends.md`` states the guarantee these tests enforce: for every
 registered architecture and workload, the ``vector`` backend produces
-**byte-identical** results to the reference interpreter — same finish
+**byte-identical** results to the ``reference`` backend — same finish
 time, same statistics, same energy, same reduced output, same
-validation verdict — not merely close ones.  The
-differential sweep here is the acceptance gate; if a change breaks
-identity, the fix goes in the backend, never in the tolerance.
+validation verdict — not merely close ones.  Both backends share one
+timing replay and differ only in the functional producer, so the
+plan-level tests compare the producers' plans directly (a failure names
+the thread or warp and the event index), and the end-to-end sweep
+checks the whole run.  If a change breaks identity, the fix goes in the
+backend, never in the tolerance.
 """
 
 from __future__ import annotations
 
 import pickle
 
+import numpy as np
 import pytest
 
+from repro.isa import scalar, vector
 from repro.sim.driver import ARCHITECTURES, run
 from repro.sim.options import BACKENDS, ExecOptions
 from repro.sim.spec import RunSpec
@@ -40,6 +45,58 @@ def fingerprint(r):
         r.energy.total_j,
         r.validated,
     ))
+
+
+def record_producers(monkeypatch) -> list:
+    """Wrap both functional producers; every call appends
+    ``(name, args, kwargs, plan)``, e.g. name ``"scalar.execute"``."""
+    calls = []
+
+    def recording(fn, name):
+        def wrapper(*args, **kwargs):
+            plan = fn(*args, **kwargs)
+            calls.append((name, args, kwargs, plan))
+            return plan
+        return wrapper
+
+    for mod in (scalar, vector):
+        short = mod.__name__.rsplit(".", 1)[1]
+        for fn_name in ("execute", "execute_simt"):
+            monkeypatch.setattr(mod, fn_name, recording(
+                getattr(mod, fn_name), f"{short}.{fn_name}"))
+    return calls
+
+
+def first_difference(a, b, unit: str, trace_fields, array_fields,
+                     scalar_fields=()) -> str | None:
+    """Where two plans first differ (``a`` scalar, ``b`` vector): the
+    first thread/warp and event index of a differing trace field, the
+    first thread of a differing per-thread array, or a differing total;
+    ``None`` if the plans are equal."""
+    attr = "traces" if unit == "thread" else "warp_traces"
+    ta, tb = getattr(a, attr), getattr(b, attr)
+    if len(ta) != len(tb):
+        return f"{len(ta)} scalar {unit} traces != {len(tb)} vector"
+    for i, (x, y) in enumerate(zip(ta, tb)):
+        for f in trace_fields:
+            xs, ys = getattr(x, f), getattr(y, f)
+            if xs != ys:
+                k = next((k for k, (u, v) in enumerate(zip(xs, ys)) if u != v),
+                         min(len(xs), len(ys)))
+                return (f"{unit} {i} {f}[{k}]: scalar {xs[k:k + 1]} != "
+                        f"vector {ys[k:k + 1]} (lengths {len(xs)}/{len(ys)})")
+    for f in array_fields:
+        xs, ys = getattr(a, f), getattr(b, f)
+        if xs.shape != ys.shape:
+            return f"{f}: scalar shape {xs.shape} != vector {ys.shape}"
+        bad = np.flatnonzero((xs != ys).reshape(len(xs), -1).any(axis=1))
+        if bad.size:
+            return (f"{f}: thread {bad[0]} scalar {xs[bad[0]]} != "
+                    f"vector {ys[bad[0]]}")
+    for f in scalar_fields:
+        if getattr(a, f) != getattr(b, f):
+            return f"{f}: scalar {getattr(a, f)} != vector {getattr(b, f)}"
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -210,26 +267,20 @@ class TestBackendEquivalence:
         assert ref.validated and vec.validated
 
     @pytest.mark.parametrize("arch", ["gpgpu", "vws", "vws-row"])
-    def test_simt_arches_actually_vectorized(self, arch):
-        """The SIMT arches must run the per-warp trace replay, not quietly
-        fall back to the reference interpreter (the pre-PDOM behaviour):
-        under backend="vector" the SM carries a SimtReplay, and under the
-        explicit backend="reference" escape hatch it does not."""
-        procs = {}
-
-        def grab(proc, engine, sanitizer):
-            procs[proc.__class__.__name__] = proc
-
+    def test_simt_arches_actually_vectorized(self, arch, monkeypatch):
+        """Each backend builds the SIMT plan with its own producer: the
+        NumPy PDOM divergence engine under backend="vector" (no quiet
+        fallback to the scalar interpreter), the scalar interpreter under
+        backend="reference"."""
+        calls = record_producers(monkeypatch)
         vec = run(RunSpec(arch, "count", n_records=N_RECORDS,
-                          options=ExecOptions(backend="vector")), probe=grab)
-        (proc,) = procs.values()
-        assert proc._replay is not None, (
-            f"{arch} fell back to the reference interpreter under "
+                          options=ExecOptions(backend="vector")))
+        assert [c[0] for c in calls] == ["vector.execute_simt"], (
+            f"{arch} did not build its plan with the NumPy executor under "
             "backend='vector'")
-        procs.clear()
-        ref = run(RunSpec(arch, "count", n_records=N_RECORDS), probe=grab)
-        (proc,) = procs.values()
-        assert proc._replay is None
+        calls.clear()
+        ref = run(RunSpec(arch, "count", n_records=N_RECORDS))
+        assert [c[0] for c in calls] == ["scalar.execute_simt"]
         assert fingerprint(ref) == fingerprint(vec)
 
     @pytest.mark.parametrize("arch", ["millipede", "millipede-bar",
@@ -274,3 +325,57 @@ class TestBackendEquivalence:
                                      n_records=N_RECORDS, seed=1,
                                      options=ExecOptions(backend="vector"))))
         assert a0 == v0 and a1 == v1 and a0 != a1
+
+
+# ----------------------------------------------------------------------
+# plan-level identity: the scalar and NumPy producers on the same inputs
+# ----------------------------------------------------------------------
+def vector_launch(arch: str, wl: str, monkeypatch) -> tuple:
+    """The functional-phase inputs of ``arch`` running ``wl`` under the
+    vector backend, and the plan the NumPy executor built from them."""
+    calls = record_producers(monkeypatch)
+    run(RunSpec(arch, wl, n_records=N_RECORDS,
+                options=ExecOptions(backend="vector")))
+    ((name, args, kwargs, plan),) = calls
+    assert name.startswith("vector.")
+    return args, kwargs, plan
+
+
+class TestPlanEquivalence:
+    @pytest.mark.parametrize("wl", workload_names())
+    @pytest.mark.parametrize("arch", ["millipede", "millipede-bar"])
+    def test_mimd_plans_identical(self, arch, wl, monkeypatch):
+        """Per-thread gaps/kinds/addrs, final live state and registers,
+        and the branch/taken/local-read/local-write counters."""
+        args, kwargs, vec = vector_launch(arch, wl, monkeypatch)
+        ref = scalar.execute(*args, **kwargs)
+        diff = first_difference(
+            ref, vec, "thread", ("gaps", "kinds", "addrs"),
+            ("local", "regs", "branches", "taken_branches",
+             "local_reads", "local_writes"))
+        assert diff is None, f"{arch}/{wl}: {diff}"
+
+    @pytest.mark.parametrize("wl", workload_names())
+    @pytest.mark.parametrize("arch", ["gpgpu", "vws"])
+    def test_simt_plans_identical(self, arch, wl, monkeypatch):
+        """Per-warp gaps/kinds/payloads/tmasks at warp width 32 (gpgpu)
+        and 4 (vws), final state, and every SimtPlan counter."""
+        args, kwargs, vec = vector_launch(arch, wl, monkeypatch)
+        ref = scalar.execute_simt(*args, **kwargs)
+        diff = first_difference(
+            ref, vec, "warp", ("gaps", "kinds", "payloads", "tmasks"),
+            ("local", "regs", "instr_count", "branches", "taken_branches",
+             "local_reads", "local_writes"),
+            ("warp_instructions", "active_lane_slots",
+             "divergence_idle_slots", "divergent_branches",
+             "uniform_branches", "shared_accesses", "conflict_extra"))
+        assert diff is None, f"{arch}/{wl}: {diff}"
+
+    def test_difference_names_thread_and_event(self, monkeypatch):
+        """A corrupted trace is reported at its first differing event."""
+        args, kwargs, vec = vector_launch("millipede", "count", monkeypatch)
+        ref = scalar.execute(*args, **kwargs)
+        ref.traces[5].addrs[3] += 1
+        diff = first_difference(ref, vec, "thread", ("gaps", "kinds", "addrs"),
+                                ())
+        assert diff is not None and diff.startswith("thread 5 addrs[3]:")

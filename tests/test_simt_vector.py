@@ -10,7 +10,8 @@ divergence discipline:
   block granularity over dense stack matrices and logs one entry per
   warp-block execution;
 * a **scalar reference walker** defined here, a faithful transcription of
-  ``GpgpuSM._exec_warp``'s stack discipline: one instruction at a time,
+  the stack discipline of the ``reference`` backend's producer
+  (``repro.isa.scalar.execute_simt``): one instruction at a time,
   per-lane interpretation via the reference executor, the exact push
   order on a divergent branch, and ``_pop_reconverged`` after *every*
   instruction.
@@ -31,6 +32,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.isa.executor import ThreadContext, branch_taken, exec_non_memory
 from repro.isa.instructions import Op
+from repro.isa import scalar
 from repro.isa.program import Program
 from repro.isa.vector import execute_simt
 
@@ -44,7 +46,7 @@ WIDTH = 4
 
 
 # ----------------------------------------------------------------------
-# scalar reference walker (GpgpuSM._exec_warp's stack discipline)
+# scalar reference walker (repro.isa.scalar.execute_simt's stack discipline)
 # ----------------------------------------------------------------------
 def reference_stream(program, lane_args: list[dict[int, float]]):
     """Per-issue ``(pc, mask, stack)`` tuples for one warp, where
@@ -216,3 +218,25 @@ class TestPdomEngineMatchesReference:
             lane_args = all_args[w * WIDTH:(w + 1) * WIDTH]
             assert expand_issue_log(log, w) == reference_stream(
                 program, lane_args), f"warp {w} diverges after:\n{source}"
+
+
+class TestScalarProducerMatchesReference:
+    @given(divergent_kernel())
+    @settings(max_examples=50, deadline=None)
+    def test_issue_stream_identical(self, case):
+        """The reference backend's SIMT producer logs one entry per warp
+        issue in the vector engine's format; its stream must equal the
+        walker's, and its plan must equal the vector engine's."""
+        source, args = case
+        program = Program.from_source(source)
+        log: list = []
+        plan = scalar.execute_simt(program, np.zeros(1), args, N_REGS,
+                                   state_words=4, width=WIDTH, issue_log=log)
+        assert expand_issue_log(log, warp=0) == reference_stream(
+            program, args), f"scalar producer diverges after:\n{source}"
+        vec = execute_simt(program, np.zeros(1), args, N_REGS,
+                           state_words=4, width=WIDTH)
+        (ts,), (tv,) = plan.warp_traces, vec.warp_traces
+        assert (ts.gaps, ts.kinds, ts.tmasks) == (tv.gaps, tv.kinds, tv.tmasks)
+        assert np.array_equal(plan.regs, vec.regs)
+        assert np.array_equal(plan.instr_count, vec.instr_count)
