@@ -9,7 +9,8 @@ Quick start
 True
 
 Batches of runs are described by frozen :class:`RunSpec` values and fanned
-out over worker processes (deduplicated + disk-cached) by ``run_batch``:
+out over worker processes (deduplicated, optionally backed by a
+fingerprint store) by ``run_batch``:
 
 >>> from repro import RunSpec, run_batch
 >>> specs = [RunSpec(a, "count") for a in ("ssmc", "millipede")]

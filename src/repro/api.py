@@ -17,9 +17,13 @@ True
 Execution options travel as one frozen value instead of a trail of
 boolean arguments, so adding an axis (as the ``backend`` axis was) never
 widens these signatures again.  :func:`repro.sim.driver.run` takes the
-same ``options=``; :func:`repro.sim.driver.run_many` and
-:func:`repro.experiments.common.cached_run` remain as compatibility
-shims over the same machinery; new code should start here.
+same ``options=``, as do :func:`repro.sim.campaign.cross` and every
+experiment's ``run_experiment``; new code should start here.
+
+Results persist in one tier, the :class:`FingerprintStore`: pass
+``store=`` (an instance or a directory path) and every spec is keyed on
+its full content hash - execution options included - so a completed
+spec is served from disk and never re-simulated.
 """
 
 from __future__ import annotations
@@ -29,10 +33,10 @@ from typing import Optional, Sequence, Union
 from pathlib import Path
 
 from repro.config import DEFAULT_CONFIG, SystemConfig
-from repro.sim.cache import ResultCache
 from repro.sim.campaign import (
     CampaignReport,
     coerce_store,
+    cross,
     run_batch as _campaign_run_batch,
     run_campaign as _campaign_run_campaign,
 )
@@ -79,39 +83,23 @@ def run_batch(
     specs: Sequence[RunSpec],
     *,
     workers: int = 1,
-    cache: Optional[ResultCache] = None,
     store: "FingerprintStore | Path | str | None" = None,
     progress=None,
 ) -> list[RunResult]:
-    """Run many specs with dedup, optional result tiers, and fan-out.
+    """Run many specs with dedup, an optional result store, and fan-out.
 
-    Results come back in ``specs`` order.  ``cache`` is the session tier
-    (:class:`ResultCache`); ``store`` is the durable tier (a
-    :class:`FingerprintStore` or its directory path) - completed
-    fingerprints are served from it and fresh results appended to it.
-    Pass one or the other, not both.  This is
+    Results come back in ``specs`` order.  ``store`` (a
+    :class:`FingerprintStore` or its directory path) serves completed
+    fingerprints and records fresh results.  This is
     :func:`repro.sim.campaign.run_batch` re-exported under the facade;
-    see that module for the dedup/cache/progress contract.
+    see that module for the dedup/store/progress contract.
     """
     owned_store = None
-    if store is not None:
-        if cache is not None:
-            raise TypeError("pass either cache= (session tier) or "
-                            "store= (durable tier), not both")
-        if not isinstance(store, FingerprintStore):
-            # created for this call: close its segment fd before returning
-            owned_store = coerce_store(store)
-            cache = owned_store
-        else:
-            cache = store
-    elif cache is not None and not isinstance(cache, ResultCache):
-        raise TypeError(
-            f"cache must be a ResultCache or None, got {type(cache).__name__}"
-            " (caching is off by default; pass a ResultCache to enable it,"
-            " or a FingerprintStore via store= for the durable tier)"
-        )
+    if store is not None and not isinstance(store, FingerprintStore):
+        # created for this call: close its segment fd before returning
+        owned_store = store = coerce_store(store)
     try:
-        return _campaign_run_batch(specs, workers=workers, cache=cache,
+        return _campaign_run_batch(specs, workers=workers, store=store,
                                    progress=progress)
     finally:
         if owned_store is not None:
@@ -158,23 +146,18 @@ def sweep(
     seed: int = 0,
     options: Optional[ExecOptions] = None,
     workers: int = 1,
-    cache: Optional[ResultCache] = None,
     store: "FingerprintStore | Path | str | None" = None,
 ) -> dict[tuple[str, str], RunResult]:
     """Run the arch × workload cross product; results keyed ``(arch, wl)``.
 
     ``workloads`` defaults to all eight registered benchmarks.  The grid
     is workload-major (the figures' iteration order) and shares
-    :func:`run_batch`'s dedup/cache/store machinery.
+    :func:`run_batch`'s dedup/store machinery.
     """
     if workloads is None:
         workloads = workload_names()
-    opts = options if options is not None else ExecOptions()
-    specs = [
-        RunSpec(a, wl, config=config, n_records=n_records, seed=seed,
-                options=opts)
-        for wl in workloads
-        for a in arches
-    ]
-    results = run_batch(specs, workers=workers, cache=cache, store=store)
+    specs = cross(arches, workloads, config=config, n_records=n_records,
+                  seed=seed,
+                  options=options if options is not None else ExecOptions())
+    results = run_batch(specs, workers=workers, store=store)
     return {(s.arch, s.workload): r for s, r in zip(specs, results)}

@@ -206,8 +206,9 @@ class SystemConfig:
         return dataclasses.replace(self, **kwargs)
 
     # ------------------------------------------------------------------
-    # canonical dict / hash round-trip (used by RunSpec and the result
-    # cache so a config can cross process and disk boundaries losslessly)
+    # canonical dict round-trip (used by RunSpec, whose content hash keys
+    # the result store, so a config can cross process and disk
+    # boundaries losslessly)
     # ------------------------------------------------------------------
     def as_canonical_dict(self) -> dict:
         """Plain nested dict of every field, suitable for JSON/pickling."""
@@ -229,18 +230,6 @@ class SystemConfig:
             else:
                 raise KeyError(f"unknown SystemConfig field {key!r}")
         return cls(**kwargs)
-
-    def canonical_json(self) -> str:
-        """Deterministic JSON encoding (sorted keys) of every field."""
-        import json
-
-        return json.dumps(self.as_canonical_dict(), sort_keys=True, default=str)
-
-    def fingerprint(self) -> str:
-        """Stable short hash of every config field."""
-        import hashlib
-
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
 
     def with_core(self, **kwargs) -> "SystemConfig":
         return self.replace(core=dataclasses.replace(self.core, **kwargs))

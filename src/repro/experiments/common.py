@@ -1,4 +1,4 @@
-"""Shared experiment plumbing: cached sweeps, tables, ASCII charts."""
+"""Shared experiment plumbing: stored sweeps, tables, ASCII charts."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.config import DEFAULT_CONFIG, SystemConfig
-from repro.sim.cache import ResultCache
 from repro.sim.campaign import cross, run_batch, run_campaign
 from repro.sim.driver import RunResult
 from repro.sim.options import ExecOptions
@@ -24,15 +23,6 @@ BENCHES = workload_names()
 FIG3_ARCHES = ["gpgpu", "vws", "ssmc", "millipede-nofc", "vws-row", "millipede"]
 #: Fig. 4 adds the rate-matched Millipede
 FIG4_ARCHES = ["gpgpu", "vws", "vws-row", "ssmc", "millipede", "millipede-rm"]
-
-
-def _trace_progress(trace_dir: Optional["Path | str"]):
-    """A TraceWriter progress callback for ``run_batch`` (or None)."""
-    if trace_dir is None:
-        return None
-    from repro.trace import TraceWriter
-
-    return TraceWriter(trace_dir)
 
 
 class ShardIncomplete(RuntimeError):
@@ -55,73 +45,8 @@ class ShardIncomplete(RuntimeError):
         )
 
 
-def _run_specs(
-    specs: Sequence[RunSpec],
-    cache: Optional[ResultCache],
-    workers: int,
-    progress,
-    store: "FingerprintStore | Path | str | None" = None,
-    shard: Optional[tuple[int, int]] = None,
-    resume: bool = True,
-    campaign: Optional[str] = None,
-    steal: Optional[bool] = None,
-) -> list[RunResult]:
-    """One dispatch point for every experiment: the plain cached batch, or
-    (with ``store``) a durable resume/shard-able campaign (work-stealing
-    by default when sharded; ``steal=False`` for the static split).
-    Raises :class:`ShardIncomplete` when other shards still owe results."""
-    if store is None:
-        if shard is not None:
-            raise ValueError("sharding requires a persistent store "
-                             "(pass store=, or --store on the CLI)")
-        return run_batch(specs, workers=workers, cache=cache,
-                         progress=progress)
-    report = run_campaign(specs, store, workers=workers, shard=shard,
-                          resume=resume, name=campaign, progress=progress,
-                          steal=steal)
-    gathered = report.gather(specs)
-    if any(r is None for r in gathered):
-        have = report.plan.campaign_total - len(report.missing(specs))
-        raise ShardIncomplete(report.name, have, report.plan.campaign_total,
-                              shard, report.misses)
-    return gathered
-
-
-def cached_run(
-    arch: str,
-    workload: str,
-    config: SystemConfig = DEFAULT_CONFIG,
-    n_records: Optional[int] = None,
-    seed: int = 0,
-    cache: Optional[ResultCache] = None,
-    sanitize: bool = False,
-    trace: bool = False,
-    trace_dir: Optional["Path | str"] = None,
-    backend: str = "reference",
-    options: Optional[ExecOptions] = None,
-    store: "FingerprintStore | Path | str | None" = None,
-) -> RunResult:
-    """`run` with optional disk caching keyed on the full configuration.
-
-    ``options`` supersedes the flat ``sanitize``/``trace``/``backend``
-    shims (mixing the two is an error).  ``store`` swaps the session
-    cache for the durable fingerprint store."""
-    if options is None:
-        options = ExecOptions(sanitize=sanitize, trace=trace, backend=backend)
-    elif (sanitize, trace, backend) != (False, False, "reference"):
-        raise TypeError("cached_run(): pass either options= or flat flags, not both")
-    spec = RunSpec(arch, workload, config=config, n_records=n_records, seed=seed,
-                   options=options)
-    writer = _trace_progress(trace_dir if options.trace else None)
-    out = _run_specs([spec], cache, 1, writer, store=store)[0]
-    if writer is not None:
-        writer.finish()
-    return out
-
-
 def batch_run(
     specs: Sequence[RunSpec],
-    cache: Optional[ResultCache] = None,
     workers: int = 1,
     trace_dir: Optional["Path | str"] = None,
     store: "FingerprintStore | Path | str | None" = None,
@@ -130,16 +55,38 @@ def batch_run(
     campaign: Optional[str] = None,
     steal: Optional[bool] = None,
 ) -> dict[RunSpec, RunResult]:
-    """`run_batch` returning a spec -> result mapping (experiment modules
-    index results by (arch, workload) via their spec objects).  With
-    ``trace_dir`` set, every traced result's artifacts plus a campaign
-    ``index.json`` are written there as results land.  With ``store``
-    set, results persist in the fingerprint store and ``shard``/``resume``
-    /``steal`` gain their campaign semantics (docs/campaigns.md)."""
-    writer = _trace_progress(trace_dir)
-    results = _run_specs(specs, cache, workers, writer, store=store,
-                         shard=shard, resume=resume, campaign=campaign,
-                         steal=steal)
+    """The one dispatch point for every experiment, returning a spec ->
+    result mapping (experiment modules index results by (arch, workload)
+    via their spec objects).
+
+    Without ``store`` this is a plain in-memory :func:`run_batch`.  With
+    ``store`` it is a durable :func:`run_campaign`: results persist in
+    the fingerprint store and ``shard``/``resume``/``steal`` gain their
+    campaign semantics (docs/campaigns.md); raises
+    :class:`ShardIncomplete` when other shards still owe results.  With
+    ``trace_dir`` set and traced specs in the batch, every traced
+    result's artifacts plus a campaign ``index.json`` are written there
+    as results land."""
+    if store is None and shard is not None:
+        raise ValueError("sharding requires a persistent store "
+                         "(pass store=, or --store on the CLI)")
+    writer = None
+    if trace_dir is not None and any(spec.trace for spec in specs):
+        from repro.trace import TraceWriter
+
+        writer = TraceWriter(trace_dir)
+    if store is None:
+        results = run_batch(specs, workers=workers, progress=writer)
+    else:
+        report = run_campaign(specs, store, workers=workers, shard=shard,
+                              resume=resume, name=campaign, progress=writer,
+                              steal=steal)
+        results = report.gather(specs)
+        if any(r is None for r in results):
+            have = report.plan.campaign_total - len(report.missing(specs))
+            raise ShardIncomplete(report.name, have,
+                                  report.plan.campaign_total, shard,
+                                  report.misses)
     if writer is not None:
         writer.finish()
     return dict(zip(specs, results))
@@ -150,40 +97,27 @@ def sweep(
     benches: Sequence[str] = BENCHES,
     config: SystemConfig = DEFAULT_CONFIG,
     n_records: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
     seed: int = 0,
     workers: int = 1,
-    sanitize: bool = False,
-    trace: bool = False,
+    options: ExecOptions = ExecOptions(),
     trace_dir: Optional["Path | str"] = None,
-    backend: str = "reference",
-    options: Optional[ExecOptions] = None,
     store: "FingerprintStore | Path | str | None" = None,
     shard: Optional[tuple[int, int]] = None,
     resume: bool = True,
     campaign: Optional[str] = None,
     steal: Optional[bool] = None,
 ) -> dict[str, dict[str, RunResult]]:
-    """results[workload][arch] for the full cross product.
-
-    ``options`` supersedes the flat ``sanitize``/``trace``/``backend``
-    shims (mixing the two is an error).  ``store``/``shard``/``resume``
-    /``steal`` run the sweep as a persistent campaign (docs/campaigns.md)."""
-    if options is None:
-        options = ExecOptions(sanitize=sanitize, trace=trace, backend=backend)
-    elif (sanitize, trace, backend) != (False, False, "reference"):
-        raise TypeError("sweep(): pass either options= or flat flags, not both")
+    """results[workload][arch] for the full cross product, every spec
+    executed with ``options``.  ``store``/``shard``/``resume``/``steal``
+    run the sweep as a persistent campaign (docs/campaigns.md)."""
     specs = cross(arches, benches, config=config, n_records=n_records, seed=seed,
                   options=options)
-    writer = _trace_progress(trace_dir if options.trace else None)
-    results = _run_specs(specs, cache, workers, writer, store=store,
-                         shard=shard, resume=resume, campaign=campaign,
-                         steal=steal)
-    if writer is not None:
-        writer.finish()
+    results = batch_run(specs, workers=workers, trace_dir=trace_dir,
+                        store=store, shard=shard, resume=resume,
+                        campaign=campaign, steal=steal)
     out: dict[str, dict[str, RunResult]] = {wl: {} for wl in benches}
-    for spec, result in zip(specs, results):
-        out[spec.workload][spec.arch] = result
+    for spec in specs:
+        out[spec.workload][spec.arch] = results[spec]
     return out
 
 
@@ -267,7 +201,3 @@ class ExperimentResult:
         for n in self.notes:
             parts.append(f"*{n}*")
         return "\n\n".join(parts)
-
-
-def default_cache() -> ResultCache:
-    return ResultCache(Path(".repro_cache"))

@@ -10,7 +10,7 @@ from typing import Optional
 
 from repro.config import DEFAULT_CONFIG, SystemConfig
 from repro.experiments.common import ExperimentResult
-from repro.sim.cache import ResultCache
+from repro.sim.options import ExecOptions
 
 #: (parameter, paper value, getter)
 _ROWS = [
@@ -38,19 +38,16 @@ _ROWS = [
 def run_experiment(
     config: SystemConfig = DEFAULT_CONFIG,
     n_records: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
     workers: int = 1,
-    sanitize: bool = False,
-    trace: bool = False,
+    options: ExecOptions = ExecOptions(),
     trace_dir=None,
-    backend: str = "reference",
     store=None,
     shard: Optional[tuple[int, int]] = None,
     resume: bool = True,
     steal: Optional[bool] = None,
 ) -> ExperimentResult:
-    # table3 runs no simulations; store/shard/resume are accepted for CLI
-    # uniformity and ignored
+    # table3 runs no simulations; options/store/shard/resume are accepted
+    # for CLI uniformity and ignored
     rows = [[name, paper, get(config)] for name, paper, get in _ROWS]
     return ExperimentResult(
         name="table3",

@@ -16,7 +16,7 @@ call                                use case
                                     ``RunSpec`` for you
 ``run_many(arches, workload)``      one workload across architectures,
                                     sharing the built dataset/kernel
-``campaign.run_batch(specs, ...)``  deduplicated, cached, multiprocess
+``campaign.run_batch(specs, ...)``  deduplicated, stored, multiprocess
                                     fan-out over arbitrary spec lists
 ==================================  ===================================
 
@@ -122,7 +122,7 @@ class RunResult:
     host_seconds: float
     reduced: dict = dc_field(default_factory=dict)
     #: :class:`repro.trace.TraceResult` when the spec had ``trace=True``;
-    #: None otherwise (and always None for cache-served results)
+    #: None otherwise (and always None for store-served results)
     trace: Optional[object] = None
 
     # ------------------------------------------------------------------

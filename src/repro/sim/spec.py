@@ -6,7 +6,7 @@ workload, config, record count, seed) plus *how* to execute it (an
 trace / backend) — that fully determines a simulation's outcome.  Because
 it is frozen, hashable, picklable, and carries a stable content hash, it
 is the unit the campaign runner (:mod:`repro.sim.campaign`) deduplicates,
-ships to worker processes, and keys the result cache on.
+ships to worker processes, and keys the result store on.
 
 >>> spec = RunSpec("millipede", "count", n_records=2048)
 >>> RunSpec.from_dict(spec.to_dict()) == spec

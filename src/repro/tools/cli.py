@@ -45,7 +45,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
                 print(f"store: hit {spec.content_hash()[:12]} "
                       f"({len(store)} records in {store.root})")
             else:
-                result = run_batch([spec], cache=store)[0]
+                result = run_batch([spec], store=store)[0]
                 store.write_index()
                 print(f"store: miss {spec.content_hash()[:12]} - simulated "
                       f"and recorded ({len(store)} records in {store.root})")

@@ -215,15 +215,16 @@ class TestApiFacade:
                 options=ExecOptions(trace=True))
 
     def test_cache_bool_rejected(self):
-        # cache takes a ResultCache or None; a stray bool must fail at
-        # the facade, not as an AttributeError inside the campaign loop
+        # the result tier (store=) takes a FingerprintStore, a directory
+        # path or None; a stray bool must fail at the facade, not as an
+        # AttributeError inside the campaign loop
         from repro import api
-        with pytest.raises(TypeError, match="ResultCache"):
+        with pytest.raises(TypeError, match="FingerprintStore"):
             api.run_batch([RunSpec("millipede", "count", n_records=N_RECORDS)],
-                          cache=False)
-        with pytest.raises(TypeError, match="ResultCache"):
+                          store=False)
+        with pytest.raises(TypeError, match="FingerprintStore"):
             api.sweep(["millipede"], ["count"], n_records=N_RECORDS,
-                      cache=True)
+                      store=True)
 
     def test_run_and_sweep_match_driver(self):
         from repro import api

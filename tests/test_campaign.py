@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from repro.config import DEFAULT_CONFIG, SystemConfig
-from repro.sim.cache import ResultCache
 from repro.sim.campaign import BatchProgress, cross, run_batch
 from repro.sim.driver import RunResult, run
 from repro.sim.options import ExecOptions
 from repro.sim.spec import RunSpec
+from repro.sim.store import FingerprintStore
 
 N = 512  #: small enough to keep the multiprocess tests quick
 
@@ -104,14 +104,14 @@ class TestRunBatch:
         assert batch[0] is batch[1] is batch[2]
 
     def test_warm_cache_skips_all_simulation(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        store = FingerprintStore(tmp_path)
         specs = [RunSpec(a, wl, n_records=N) for a, wl in PAIRS]
         cold: list[BatchProgress] = []
-        first = run_batch(specs, workers=1, cache=cache, progress=cold.append)
+        first = run_batch(specs, workers=1, store=store, progress=cold.append)
         assert sum(not e.cached for e in cold) == len(specs)
 
         warm: list[BatchProgress] = []
-        second = run_batch(specs, workers=2, cache=cache, progress=warm.append)
+        second = run_batch(specs, workers=2, store=store, progress=warm.append)
         assert all(e.cached for e in warm)  # zero re-simulations
         for a, b in zip(first, second):
             assert a.finish_ps == b.finish_ps
@@ -121,12 +121,12 @@ class TestRunBatch:
         # regression: host_seconds promised "0-ish for cache hits" but
         # returned the original simulation's wall-clock, inflating
         # campaign ETA estimates on warm caches
-        cache = ResultCache(tmp_path)
+        store = FingerprintStore(tmp_path)
         spec = RunSpec("millipede", "count", n_records=N)
         cold: list[BatchProgress] = []
-        run_batch([spec], workers=1, cache=cache, progress=cold.append)
+        run_batch([spec], workers=1, store=store, progress=cold.append)
         warm: list[BatchProgress] = []
-        run_batch([spec], workers=1, cache=cache, progress=warm.append)
+        run_batch([spec], workers=1, store=store, progress=warm.append)
         assert not cold[0].cached and cold[0].host_seconds > 0
         assert cold[0].sim_host_seconds == cold[0].host_seconds
         assert warm[0].cached

@@ -287,9 +287,9 @@ class TestCountersAndFacade:
     def test_batch_progress_hit_miss_counters(self, tmp_path):
         store = FingerprintStore(tmp_path)
         specs = cross(["ssmc", "millipede"], ["count"], n_records=N)
-        run_batch([specs[0]], cache=store)
+        run_batch([specs[0]], store=store)
         events: list[BatchProgress] = []
-        run_batch(specs, cache=store, progress=events.append)
+        run_batch(specs, store=store, progress=events.append)
         assert [(e.hits, e.misses) for e in events] == [(1, 0), (1, 1)]
         assert "hit" in str(events[0])
 
@@ -300,9 +300,9 @@ class TestCountersAndFacade:
         first = api.run_batch(specs, store=tmp_path)
         second = api.run_batch(specs, store=FingerprintStore(tmp_path))
         assert_same_outcome(first[0], second[0])
+        # the store is the only result tier: there is no cache= keyword
         with pytest.raises(TypeError):
-            api.run_batch(specs, store=tmp_path,
-                          cache=FingerprintStore(tmp_path))
+            api.run_batch(specs, cache=FingerprintStore(tmp_path))
 
     def test_api_run_campaign_facade(self, tmp_path):
         from repro import api

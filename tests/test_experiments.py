@@ -10,13 +10,29 @@ from repro.experiments import EXPERIMENTS, table3
 from repro.experiments.common import (
     ExperimentResult,
     ascii_bars,
-    cached_run,
+    batch_run,
     format_table,
     geomean,
     markdown_table,
 )
 from repro.experiments.report import write_markdown
-from repro.sim.cache import ResultCache
+from repro.sim.options import ExecOptions
+from repro.sim.spec import RunSpec
+from repro.sim.store import FingerprintStore
+
+
+@pytest.fixture
+def cli_store(tmp_path, monkeypatch):
+    """The experiment CLI's default result tier, rooted in ``tmp_path``."""
+    from repro.experiments.runner import build_parser
+
+    monkeypatch.chdir(tmp_path)
+    return build_parser().parse_args(["table4"]).store
+
+
+def store_len(root) -> int:
+    with FingerprintStore(root) as store:
+        return len(store)
 
 
 class TestFormatting:
@@ -65,14 +81,38 @@ class TestRegistry:
         assert any("700 MHz" in str(c) for row in res.rows for c in row)
 
 
-class TestCachedRun:
-    def test_cache_hit_skips_simulation(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        first = cached_run("millipede", "count", n_records=1024, cache=cache)
-        second = cached_run("millipede", "count", n_records=1024, cache=cache)
+class TestBatchRunStore:
+    def test_store_hit_skips_simulation(self, tmp_path):
+        spec = RunSpec("millipede", "count", n_records=1024)
+        first = batch_run([spec], store=tmp_path)[spec]
+        second = batch_run([spec], store=tmp_path)[spec]
         assert second.finish_ps == first.finish_ps
-        # cached results are deserialized: host time is the original's
-        assert len(list(tmp_path.glob("*.json"))) == 1
+        # the second call was a hit: it recorded nothing new
+        assert store_len(tmp_path) == 1
+
+
+class TestOptionsAreStoredSeparately:
+    """Every ExecOptions field is part of the result-store key: a record
+    run under one set of options is never served to another."""
+
+    def test_unvalidated_record_not_served_to_default_spec(self, cli_store):
+        spec = RunSpec("millipede", "count", n_records=256)
+        batch_run([spec.replace(options=ExecOptions(validate=False))],
+                  store=cli_store)
+        result = batch_run([spec], store=cli_store)[spec]
+        assert store_len(cli_store) == 2  # the default spec was a miss
+        assert result.validated is True
+
+    def test_sanitized_spec_simulates_after_plain_run(self, cli_store):
+        plain = RunSpec("millipede", "count", n_records=256)
+        sanitized = plain.replace(options=ExecOptions(sanitize=True))
+        batch_run([plain], store=cli_store)
+        batch_run([sanitized], store=cli_store)
+        # a record under the sanitized fingerprint exists only if the
+        # sanitized spec was simulated, not served the plain record
+        with FingerprintStore(cli_store) as store:
+            assert sanitized.content_hash() in store
+            assert len(store) == 2
 
 
 class TestReport:
@@ -92,9 +132,40 @@ class TestRunnerCli:
         args = p.parse_args(["table3", "--records", "512"])
         assert args.which == "table3" and args.records == 512
 
-    def test_cli_table3_runs(self, capsys):
+    def test_cli_table3_runs(self, capsys, tmp_path, monkeypatch):
         from repro.experiments.runner import main
 
+        monkeypatch.chdir(tmp_path)
         assert main(["table3"]) == 0
         out = capsys.readouterr().out
         assert "hardware parameters" in out
+
+    def test_default_store_serves_second_run(self, capsys, tmp_path,
+                                             monkeypatch):
+        from repro.experiments.runner import build_parser, main
+
+        monkeypatch.chdir(tmp_path)
+        argv = ["table4", "--records", "128"]
+
+        def table(extra=()) -> list[str]:
+            assert main(argv + list(extra)) == 0
+            out = capsys.readouterr().out
+            return [line for line in out.splitlines() if " took " not in line]
+
+        def records() -> int:
+            # raw log lines: a re-simulated fingerprint appends a record
+            log = tmp_path / ".repro_cache" / "log"
+            return sum(len(p.read_bytes().splitlines())
+                       for p in log.glob("*.jsonl"))
+
+        first = table()
+        recorded = records()
+        assert recorded == 16  # 8 benchmarks x (ssmc, millipede-rm)
+        assert table() == first
+        assert records() == recorded  # served from the default store
+        assert table(["--no-resume"]) == first
+        assert records() == 2 * recorded
+        # the session-cache flags are gone: argparse rejects them
+        for verb in ("no", "clear"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["table4", f"--{verb}-cache"])

@@ -349,7 +349,7 @@ def test_pick001_local_function_into_pool_fires(tmp_path):
 
 
 def test_pick001_parent_side_progress_callback_exempt(tmp_path):
-    # progress= and cache= are documented parent-side-only
+    # progress= and store= are documented parent-side-only
     report = lint_source(tmp_path, (
         "from repro.sim.campaign import run_batch\n"
         "def sweep(specs):\n"
@@ -667,12 +667,14 @@ def test_fs004_private_path_and_other_target_silent(tmp_path):
 # IPC: cross-process discipline
 # ----------------------------------------------------------------------
 def test_ipc001_store_into_worker_args_fires(tmp_path):
+    # store= is parent-side, but a positional argument of run_batch is
+    # worker-bound: here the store rides inside the spec list
     report = lint_source(tmp_path, (
         "from repro.sim.campaign import run_batch\n"
         "from repro.sim.store import FingerprintStore\n"
         "def sweep(specs, root):\n"
         "    store = FingerprintStore(root)\n"
-        "    return run_batch(specs, workers=2, store=store)\n"
+        "    return run_batch([(s, store) for s in specs], workers=2)\n"
     ))
     findings = [f for f in report.unsuppressed if f.rule == "IPC001"]
     assert len(findings) == 1
@@ -688,14 +690,14 @@ def test_ipc001_open_handle_into_pool_fires(tmp_path):
     assert "IPC001" in rule_ids(report)
 
 
-def test_ipc001_parent_side_cache_kwarg_silent(tmp_path):
-    # cache= is documented parent-side-only: the store stays home
+def test_ipc001_parent_side_store_kwarg_silent(tmp_path):
+    # store= is documented parent-side-only: the store stays home
     report = lint_source(tmp_path, (
         "from repro.sim.campaign import run_batch\n"
         "from repro.sim.store import FingerprintStore\n"
         "def sweep(specs, root):\n"
         "    store = FingerprintStore(root)\n"
-        "    return run_batch(specs, workers=2, cache=store)\n"
+        "    return run_batch(specs, workers=2, store=store)\n"
     ))
     assert "IPC001" not in rule_ids(report)
 

@@ -163,15 +163,19 @@ class TestExperimentEquality:
     def test_fig3_rows_unchanged_under_sanitizer(self):
         from repro.experiments import fig3
 
-        a = fig3.run_experiment(n_records=N, cache=None, sanitize=True)
-        b = fig3.run_experiment(n_records=N, cache=None, sanitize=False)
+        a = fig3.run_experiment(n_records=N,
+                                options=ExecOptions(sanitize=True))
+        b = fig3.run_experiment(n_records=N,
+                                options=ExecOptions(sanitize=False))
         assert a.rows == b.rows
 
     def test_table4_rows_unchanged_under_sanitizer(self):
         from repro.experiments import table4
 
-        a = table4.run_experiment(n_records=N, cache=None, sanitize=True)
-        b = table4.run_experiment(n_records=N, cache=None, sanitize=False)
+        a = table4.run_experiment(n_records=N,
+                                  options=ExecOptions(sanitize=True))
+        b = table4.run_experiment(n_records=N,
+                                  options=ExecOptions(sanitize=False))
         assert a.rows == b.rows
 
 

@@ -1,13 +1,13 @@
-"""Tests for the run driver, result metrics, and the disk cache."""
+"""Tests for the run driver, result metrics, and spec fingerprints."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.config import SystemConfig
-from repro.sim.cache import ResultCache, config_fingerprint
 from repro.sim.driver import run, run_many
 from repro.sim.options import ExecOptions
+from repro.sim.spec import RunSpec
 
 
 @pytest.fixture(scope="module")
@@ -62,37 +62,22 @@ class TestRunMany:
         assert a.collected["instructions"] == b.collected["instructions"]
 
 
-class TestResultCache:
-    def test_roundtrip(self, tmp_path, count_result):
-        cache = ResultCache(tmp_path)
-        cfg = SystemConfig()
-        cache.put(count_result, 2048, 0, cfg)
-        back = cache.get("millipede", "count", 2048, 0, cfg)
-        assert back is not None
-        assert back.finish_ps == count_result.finish_ps
-        assert back.energy.total_j == pytest.approx(count_result.energy.total_j)
+class TestSpecFingerprint:
+    """The result store keys on ``RunSpec.content_hash``; every config
+    field must reach it (store round-trips and corrupt records are
+    covered by tests/test_store.py)."""
 
-    def test_miss_on_different_config(self, tmp_path, count_result):
-        cache = ResultCache(tmp_path)
-        cache.put(count_result, 2048, 0, SystemConfig())
+    @staticmethod
+    def fingerprint(cfg: SystemConfig) -> str:
+        return RunSpec("millipede", "count", config=cfg,
+                       n_records=2048).content_hash()
+
+    def test_miss_on_different_config(self):
         other = SystemConfig().with_millipede(prefetch_entries=4)
-        assert cache.get("millipede", "count", 2048, 0, other) is None
-
-    def test_clear(self, tmp_path, count_result):
-        cache = ResultCache(tmp_path)
-        cache.put(count_result, 2048, 0, SystemConfig())
-        assert cache.clear() == 1
-        assert cache.get("millipede", "count", 2048, 0, SystemConfig()) is None
+        assert self.fingerprint(SystemConfig()) != self.fingerprint(other)
 
     def test_fingerprint_sensitive_to_every_field(self):
-        a = config_fingerprint(SystemConfig())
-        b = config_fingerprint(SystemConfig().with_dram(t_cas=10))
-        c = config_fingerprint(SystemConfig().with_millipede(rate_match=True))
+        a = self.fingerprint(SystemConfig())
+        b = self.fingerprint(SystemConfig().with_dram(t_cas=10))
+        c = self.fingerprint(SystemConfig().with_millipede(rate_match=True))
         assert len({a, b, c}) == 3
-
-    def test_corrupt_cache_file_ignored(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cfg = SystemConfig()
-        p = cache._path("millipede", "count", 2048, 0, cfg)
-        p.write_text("{not json")
-        assert cache.get("millipede", "count", 2048, 0, cfg) is None

@@ -7,11 +7,11 @@ import json
 
 from repro.engine.events import Engine
 from repro.engine.stats import Stats
-from repro.sim.cache import ResultCache
 from repro.sim.campaign import run_batch
 from repro.sim.driver import run
 from repro.sim.options import ExecOptions
 from repro.sim.spec import RunSpec
+from repro.sim.store import FingerprintStore
 from repro.trace import SimTracer, TimelineSampler, TraceResult, TraceWriter
 
 N = 512
@@ -202,19 +202,25 @@ class TestCampaignIntegration:
         del legacy["trace"]  # pre-trace serialized specs still deserialize
         assert RunSpec.from_dict(legacy).trace is False
 
-    def test_traced_spec_bypasses_cache_but_feeds_it(self, tmp_path):
-        cache = ResultCache(tmp_path)
+    def test_traced_spec_always_resimulates(self, tmp_path):
+        store = FingerprintStore(tmp_path)
         plain = RunSpec("millipede", "count", n_records=N)
         traced = plain.replace(options=TRACED)
-        (first,) = run_batch([traced], workers=1, cache=cache)
+        (first,) = run_batch([traced], workers=1, store=store)
         assert first.trace is not None
-        # the traced run populated the cache for future untraced runs...
-        (warm,) = run_batch([plain], workers=1, cache=cache)
-        assert warm.finish_ps == first.finish_ps
+        assert traced.content_hash() in store
+        # the traced record is its own fingerprint: an untraced spec is
+        # not served from it, but simulates...
+        events: list = []
+        (plain_result,) = run_batch([plain], workers=1, store=store,
+                                    progress=events.append)
+        assert not events[0].cached
+        assert plain_result.finish_ps == first.finish_ps
         # ...and a traced spec always re-simulates (the artifact is the
-        # point; a cache hit would return no trace)
-        (again,) = run_batch([traced], workers=1, cache=cache)
+        # point; a store hit would return no trace)
+        (again,) = run_batch([traced], workers=1, store=store)
         assert again.trace is not None
+        store.close()
 
     def test_trace_writer_collects_batch(self, tmp_path):
         specs = [RunSpec("millipede", "count", n_records=N,
